@@ -110,14 +110,15 @@ def run_point(n_clients: int) -> float:
     )
     transport = ServerTransport(server, accept_backlog=1024,
                                 idle_timeout=300.0)
-    host, port = transport.start()
+    transport.start()
+    url = transport.bound_endpoints[0].url()
     rng = random.Random(1000 + n_clients)
     scenarios = [
         AddDrain([random_signature(rng).to_bytes()
                   for _ in range(SEQUENCES_PER_CLIENT)])
         for _ in range(n_clients)
     ]
-    engine = SwarmEngine(host, port, loops=2, connect_burst=256)
+    engine = SwarmEngine(url, loops=2, connect_burst=256)
     engine.add_clients(scenarios)
     engine.start()
     try:

@@ -24,7 +24,7 @@ import pytest
 from benchmarks.conftest import write_artifact
 from repro.appmodel import PRESETS, SignatureFactory, generate_application
 from repro.client.client import CommunixClient
-from repro.client.endpoints import TcpEndpoint
+from repro.client.endpoints import SocketEndpoint
 from repro.core.agent import CommunixAgent
 from repro.core.history import DeadlockHistory
 from repro.core.repository import LocalRepository
@@ -67,9 +67,10 @@ def run_flood() -> dict:
 
     # --- stage 2: a victim's client downloads them -------------------------
     transport = ServerTransport(server)
-    host, port = transport.start()
+    transport.start()
+    url = transport.bound_endpoints[0].url()
     repo = LocalRepository()
-    endpoint = TcpEndpoint(host, port, io_timeout=120.0)
+    endpoint = SocketEndpoint(url, io_timeout=120.0)
     client = CommunixClient(endpoint=endpoint, repository=repo,
                             clock=ManualClock(start=1_000_000.0))
     started = time.perf_counter()

@@ -33,13 +33,14 @@ import pytest
 
 from benchmarks.bench_fig2_server_throughput import random_signature
 from benchmarks.conftest import bench_json_path, write_artifact
-from repro.client.endpoints import TcpEndpoint
+from repro.client.endpoints import SocketEndpoint
 from repro.crypto.userid import UserIdAuthority
 from repro.server.database import SignatureDatabase
 from repro.server.protocol import (
-    count_get_response,
-    encode_get_response,
-    get_response_parts,
+    count_get_page,
+    encode_get_page_response,
+    get_page_response_parts,
+    pack_signature_record,
 )
 from repro.server.server import CommunixServer, ServerConfig
 from repro.server.transport import ServerTransport
@@ -73,15 +74,16 @@ def seed_path_get(blobs: list[bytes]) -> bytes:
     """The seed's hot path, verbatim: slice-copy the blob list, then pack
     every blob into the response the transport will send."""
     copied = blobs[0:]
-    return encode_get_response(len(copied), copied)
+    return encode_get_page_response(
+        len(copied), len(copied), map(pack_signature_record, copied), False
+    )
 
 
 def segment_path_get(db: SignatureDatabase) -> list[bytes]:
     """The new hot path, verbatim: cached per-segment chunks assembled
     into the parts list the transport hands to vectored ``sendmsg`` — no
     per-blob work, no payload copy."""
-    next_index, count, chunks, _ = db.wire_from(0)
-    return get_response_parts(next_index, count, chunks)
+    return get_page_response_parts(*db.wire_from(0, len(db)))
 
 
 def throughput(fn, min_seconds: float = 0.5, min_rounds: int = 5) -> float:
@@ -132,7 +134,8 @@ def test_concurrent_persistent_connections(results_dir):
     db, _ = build_database(SIZES[0])
     server.database = db
     transport = ServerTransport(server, accept_backlog=2048, workers=8)
-    host, port = transport.start()
+    transport.start()
+    url = transport.bound_endpoints[0].url()
     threads_before = threading.active_count()
 
     per_thread = N_CONNECTIONS // CLIENT_THREADS
@@ -145,7 +148,7 @@ def test_concurrent_persistent_connections(results_dir):
     errors = []
 
     def client(n_conns: int) -> None:
-        endpoints = [TcpEndpoint(host, port, io_timeout=60.0)
+        endpoints = [SocketEndpoint(url, io_timeout=60.0)
                      for _ in range(n_conns)]
         try:
             for endpoint in endpoints:
@@ -155,7 +158,7 @@ def test_concurrent_persistent_connections(results_dir):
             done = 0
             for _ in range(REQUESTS_PER_CONNECTION):
                 for endpoint in endpoints:
-                    count_get_response(endpoint.get_raw(0, max_count=64))
+                    count_get_page(endpoint.get_raw(0, 64))
                     done += 1
             with lock:
                 completed.append(done)

@@ -108,7 +108,7 @@ def run_replay_point(data_dir: str, count: int) -> dict:
     assert len(db) == count
     assert store.replayed_past_checkpoint == count
     # Sanity: the replayed database serves the same bytes it stored.
-    _, _count, chunks, _ = db.wire_from(0)
+    _, _count, chunks, _ = db.wire_from(0, count)
     assert _count == count
     store.close(final_checkpoint=False)
 

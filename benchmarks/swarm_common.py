@@ -41,12 +41,10 @@ def swarm_server(quota_per_day: int = 1000, idle_timeout: float = 600.0,
     env["PYTHONPATH"] = str(_SRC) + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
-    address_args = (["--addr", addr] if addr
-                    else ["--host", "127.0.0.1", "--port", "0"])
     proc = subprocess.Popen(
         [
             sys.executable, "-u", "-m", "repro.server",
-            *address_args,
+            "--addr", addr or "tcp://127.0.0.1:0",
             "--quota-per-day", str(quota_per_day),
             "--idle-timeout", str(idle_timeout),
             "--backlog", str(backlog),
@@ -116,7 +114,7 @@ def server_metrics_summary(metrics_log_path: str) -> dict | None:
     Stage histograms are collapsed to their percentile summaries; raw
     counters and gauges ride along whole.
     """
-    from repro.obs import last_snapshot_line, summary_from_wire
+    from repro.obs import Histogram, last_snapshot_line
 
     snapshot = last_snapshot_line(metrics_log_path)
     if snapshot is None:
@@ -126,7 +124,7 @@ def server_metrics_summary(metrics_log_path: str) -> dict | None:
         "counters": snapshot.get("counters", {}),
         "gauges": snapshot.get("gauges", {}),
         "stages": {
-            name: summary_from_wire(wire)
+            name: Histogram.from_wire(wire).summary()
             for name, wire in sorted(histograms.items())
         },
         "attribution": stage_attribution(histograms),

@@ -25,7 +25,7 @@ Collaborative immunity adds a server and per-machine nodes::
     node.start_application()     # agent validates + generalizes them
 """
 
-from repro.client import CommunixClient, InProcessEndpoint, TcpEndpoint
+from repro.client import CommunixClient, InProcessEndpoint, SocketEndpoint
 from repro.core import (
     CallStack,
     ClientSideValidator,
@@ -66,7 +66,7 @@ __version__ = "1.0.0"
 __all__ = [
     "CommunixClient",
     "InProcessEndpoint",
-    "TcpEndpoint",
+    "SocketEndpoint",
     "CallStack",
     "ClientSideValidator",
     "CommunixAgent",

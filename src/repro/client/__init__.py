@@ -7,8 +7,7 @@ are incremental — only signatures the repository does not yet have are
 requested.
 
 :class:`SocketEndpoint` talks to a real :class:`ServerTransport` over TCP
-or a UNIX-domain socket (:class:`TcpEndpoint` is its historical
-``(host, port)`` spelling); :class:`InProcessEndpoint` invokes a server's
+or a UNIX-domain socket; :class:`InProcessEndpoint` invokes a server's
 request-processing routines directly (the Fig. 2 configuration, also
 convenient in tests).
 """
@@ -18,7 +17,6 @@ from repro.client.endpoints import (
     InProcessEndpoint,
     ServerEndpoint,
     SocketEndpoint,
-    TcpEndpoint,
 )
 
 __all__ = [
@@ -26,5 +24,4 @@ __all__ = [
     "InProcessEndpoint",
     "ServerEndpoint",
     "SocketEndpoint",
-    "TcpEndpoint",
 ]

@@ -7,7 +7,7 @@ Usage::
     python -m repro.client stats --server tcp://HOST:PORT [--watch N]
 
 ``--server`` accepts any endpoint URL (``tcp://host:port``,
-``unix:///path``) or the legacy bare ``HOST:PORT``.
+``unix:///path``, ``unix://@name``).
 
 The daemon downloads new signatures from the server into the machine-local
 repository (incrementally — only what is missing), once per period; the
@@ -32,7 +32,7 @@ from repro.client.client import CommunixClient, DEFAULT_PERIOD
 from repro.client.endpoints import SocketEndpoint
 from repro.core.repository import LocalRepository
 from repro.net import EndpointError
-from repro.obs import summary_from_wire
+from repro.obs import Histogram
 from repro.util.logging import enable_console_logging
 
 
@@ -43,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--server", required=True, metavar="URL",
-        help="server endpoint: tcp://HOST:PORT, unix:///PATH, or HOST:PORT",
+        help="server endpoint: tcp://HOST:PORT or unix:///PATH",
     )
     parser.add_argument(
         "--repository", default="communix-repository.json",
@@ -67,7 +67,7 @@ def build_stats_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--server", required=True, metavar="URL",
-        help="server endpoint: tcp://HOST:PORT, unix:///PATH, or HOST:PORT",
+        help="server endpoint: tcp://HOST:PORT or unix:///PATH",
     )
     parser.add_argument(
         "--watch", type=float, default=None, metavar="SECONDS",
@@ -107,7 +107,7 @@ def format_stats(payload: dict) -> str:
         lines.append(f"    {'stage':<22}{'count':>9}{'p50':>9}"
                      f"{'p95':>9}{'p99':>9}{'max':>9}")
         for name in sorted(histograms):
-            summary = summary_from_wire(histograms[name])
+            summary = Histogram.from_wire(histograms[name]).summary()
             if not summary.get("count"):
                 continue
             lines.append(

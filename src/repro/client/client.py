@@ -63,23 +63,19 @@ class CommunixClient:
     def poll_once(self) -> DownloadReport:
         """One incremental download: ``GET(n+1)`` in the paper's terms.
 
-        With a paginated endpoint the download streams page by page until
-        the server reports no more; each page is stored before the next is
-        requested, so an interrupted download resumes from the page
-        boundary rather than from scratch.  Endpoints without ``get_page``
-        (old servers, test doubles) fall back to one unpaginated GET.
+        The download streams page by page until the server reports no
+        more; each page is stored before the next is requested, so an
+        interrupted download resumes from the page boundary rather than
+        from scratch.
         """
         start = self.repository.server_index
         report = DownloadReport(requested_from=start)
-        get_page = getattr(self.endpoint, "get_page", None)
         cursor = start
         while True:
             try:
-                if get_page is not None:
-                    next_index, blobs, more = get_page(cursor, self.page_size)
-                else:
-                    next_index, blobs = self.endpoint.get(cursor)
-                    more = False
+                next_index, blobs, more = self.endpoint.get_page(
+                    cursor, self.page_size
+                )
             except CommunixError as exc:
                 report.failed = True
                 report.error = str(exc)

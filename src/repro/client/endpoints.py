@@ -1,17 +1,14 @@
 """Server endpoints: how client-side components reach the Communix server.
 
 All endpoints expose the same calls (the :class:`ServerEndpoint`
-protocol): ``add(blob, token)``, ``get(from_index)``,
-``get_page(from_index, max_count)`` and ``issue_token()``.  ``get`` is the
-legacy unpaginated download (the whole tail in one response); ``get_page``
-is the paginated form the client daemon loops over, bounded per response
-by ``max_count`` and resumable via the returned ``more`` flag.
+protocol): ``add(blob, token)``, ``get_page(from_index, max_count)`` and
+``issue_token()``.  ``get_page`` is the download the client daemon loops
+over, bounded per response by ``max_count`` and resumable via the
+returned ``more`` flag.
 
 Addressing goes through :mod:`repro.net`: :class:`SocketEndpoint` takes
-any endpoint URL (``tcp://host:port``, ``unix:///path``, legacy
-``host:port``) and speaks the same framed protocol over either family;
-:class:`TcpEndpoint` remains as the historical ``(host, port)``
-constructor.
+an endpoint URL (``tcp://host:port``, ``unix:///path``, ``unix://@name``)
+and speaks the same framed protocol over either family.
 """
 
 from __future__ import annotations
@@ -20,10 +17,9 @@ import socket
 import threading
 from typing import Protocol
 
-from repro.net import dial, parse_endpoint, tcp_endpoint
+from repro.net import dial, parse_endpoint
 from repro.server.protocol import (
     decode_get_page,
-    decode_get_response,
     encode_add_request,
     encode_request,
     encode_stats_request,
@@ -37,8 +33,6 @@ from repro.util.errors import ProtocolError
 
 class ServerEndpoint(Protocol):
     def add(self, blob: bytes, token: str) -> bool: ...
-
-    def get(self, from_index: int) -> tuple[int, list[bytes]]: ...
 
     def get_page(self, from_index: int, max_count: int
                  ) -> tuple[int, list[bytes], bool]: ...
@@ -59,9 +53,6 @@ class InProcessEndpoint:
     def add(self, blob: bytes, token: str) -> bool:
         return self._server.process_add(blob, token).accepted
 
-    def get(self, from_index: int) -> tuple[int, list[bytes]]:
-        return self._server.process_get(from_index)
-
     def get_page(self, from_index: int, max_count: int
                  ) -> tuple[int, list[bytes], bool]:
         return self._server.process_get_page(from_index, max_count)
@@ -81,8 +72,7 @@ class SocketEndpoint:
 
     def __init__(self, target, connect_timeout: float = 5.0,
                  io_timeout: float = 30.0):
-        """``target`` is an endpoint URL, legacy ``host:port`` string,
-        ``(host, port)`` tuple, or :class:`repro.net.Endpoint`."""
+        """``target`` is an endpoint URL or :class:`repro.net.Endpoint`."""
         self._endpoint = parse_endpoint(target)
         self._connect_timeout = connect_timeout
         self._io_timeout = io_timeout
@@ -137,30 +127,20 @@ class SocketEndpoint:
         decoded = from_canonical_json(response)
         return bool(decoded.get("ok"))
 
-    def get(self, from_index: int) -> tuple[int, list[bytes]]:
-        response = self._roundtrip(
-            encode_request({"op": "GET", "from_index": from_index})
-        )
-        return decode_get_response(response)
-
     def get_page(self, from_index: int, max_count: int
                  ) -> tuple[int, list[bytes], bool]:
         """One bounded page: ``(next_index, blobs, more)``.  The server
         clamps ``max_count`` to its own page cap; loop while ``more``."""
-        response = self._roundtrip(
+        return decode_get_page(self.get_raw(from_index, max_count))
+
+    def get_raw(self, from_index: int, max_count: int) -> bytes:
+        """The raw GET response — lets callers count signatures without
+        materializing them (``protocol.count_get_page``)."""
+        return self._roundtrip(
             encode_request(
                 {"op": "GET", "from_index": from_index, "max_count": max_count}
             )
         )
-        return decode_get_page(response)
-
-    def get_raw(self, from_index: int, max_count: int | None = None) -> bytes:
-        """The raw GET response — lets callers count signatures without
-        materializing them (what the downloader does for accounting)."""
-        request: dict = {"op": "GET", "from_index": from_index}
-        if max_count is not None:
-            request["max_count"] = max_count
-        return self._roundtrip(encode_request(request))
 
     def issue_token(self) -> str:
         response = self._roundtrip(encode_request({"op": "ISSUE_ID"}))
@@ -183,12 +163,3 @@ class SocketEndpoint:
             raise ProtocolError("server refused the STATS request")
         return decoded
 
-
-class TcpEndpoint(SocketEndpoint):
-    """Historical ``(host, port)`` constructor for a TCP connection."""
-
-    def __init__(self, host: str, port: int, connect_timeout: float = 5.0,
-                 io_timeout: float = 30.0):
-        super().__init__(tcp_endpoint(host, port),
-                         connect_timeout=connect_timeout,
-                         io_timeout=io_timeout)

@@ -17,8 +17,9 @@ each other: the main file holds the (append-only, potentially large)
 signature list and is rewritten only when new signatures arrive, while a
 small *sidecar* (``<path>.state``) holds the server index, per-app cursors
 and pending-nesting sets — so a cursor bump after an agent inspection
-serializes a few dozen bytes, not the whole repository.  Legacy
-single-file (version-1) repositories still load.
+serializes a few dozen bytes, not the whole repository.  This split
+layout (``"version": 2``) is the only one read; any other file is a
+:class:`HistoryError`.
 """
 
 from __future__ import annotations
@@ -158,24 +159,16 @@ class LocalRepository:
                 payload = json.load(fh)
         except (OSError, ValueError) as exc:
             raise HistoryError(f"cannot read repository {self._path}: {exc}") from exc
-        version = payload.get("version")
-        if version not in (1, 2):
-            raise HistoryError(f"unsupported repository format in {self._path}")
+        if not isinstance(payload, dict) or payload.get("version") != 2:
+            raise HistoryError(
+                f"unsupported repository format in {self._path} "
+                "(want the version-2 split layout)"
+            )
         for encoded in payload.get("signatures", []):
             sig = DeadlockSignature.decode(encoded, origin=ORIGIN_REMOTE)
             if sig.sig_id not in self._ids:
                 self._signatures.append(sig)
                 self._ids.add(sig.sig_id)
-        if version == 1:
-            # Legacy single-file layout: state lives inline — but if a
-            # sidecar exists it is newer (every state change writes it),
-            # so it wins.  Migrate to the split layout right away so the
-            # inline copy can never shadow later sidecar updates again.
-            sidecar = self._read_state_file()
-            self._restore_state(payload if sidecar is None else sidecar)
-            self._save_signatures()
-            self._save_state()
-            return
         self._restore_state(self._read_state_file() or {})
 
     def _read_state_file(self) -> dict | None:

@@ -9,7 +9,7 @@ Programmatic use::
 
     from repro.loadgen import SwarmEngine, build_mix
 
-    engine = SwarmEngine(host, port, loops=2)
+    engine = SwarmEngine("tcp://127.0.0.1:7199", loops=2)
     engine.add_clients(build_mix("cold=1,steady=2", clients=500, seed=7))
     snapshot = engine.run(timeout=120.0)
     print(snapshot.histograms["get_page"].percentile(99))
@@ -20,7 +20,6 @@ Command line: ``python -m repro.loadgen --help``.
 from repro.loadgen.engine import SwarmEngine
 from repro.loadgen.federation import FederationReport, federated_run
 from repro.loadgen.metrics import (
-    LatencyHistogram,
     Metrics,
     MetricsSnapshot,
     merge_snapshots,
@@ -50,7 +49,6 @@ __all__ = [
     "ColdSync",
     "FederationReport",
     "ForgedTokens",
-    "LatencyHistogram",
     "Metrics",
     "MetricsSnapshot",
     "Park",

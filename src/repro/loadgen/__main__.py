@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument(
         "--connect", metavar="URL",
         help="drive an already-running Communix server "
-             "(tcp://HOST:PORT, unix:///PATH, or legacy HOST:PORT)",
+             "(tcp://HOST:PORT or unix:///PATH)",
     )
     target.add_argument(
         "--serve", action="store_true",

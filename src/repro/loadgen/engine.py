@@ -37,7 +37,7 @@ import threading
 import time
 
 from repro.loadgen.metrics import Metrics, MetricsSnapshot
-from repro.net import BufferPool, create_dial_socket, parse_endpoint, tcp_endpoint
+from repro.net import BufferPool, create_dial_socket, parse_endpoint
 from repro.loadgen.scenarios import (
     Action,
     ClientContext,
@@ -485,16 +485,12 @@ class _Shard:
 class SwarmEngine:
     """Owns the shards, the start barrier, and the merged metrics."""
 
-    def __init__(self, target, port: int | None = None, *, loops: int = 2,
+    def __init__(self, target, *, loops: int = 2,
                  connect_burst: int = 128, connect_timeout: float = 20.0):
-        """``target`` is an endpoint URL / :class:`repro.net.Endpoint`; the
-        historical ``SwarmEngine(host, port)`` form still works."""
+        """``target`` is an endpoint URL / :class:`repro.net.Endpoint`."""
         if loops < 1:
             raise ValueError("loops must be positive")
-        if port is not None:
-            self.endpoint = tcp_endpoint(target, port)
-        else:
-            self.endpoint = parse_endpoint(target)
+        self.endpoint = parse_endpoint(target)
         self.address = self.endpoint.sockaddr()
         self.connect_burst = max(1, connect_burst)
         self.connect_timeout = connect_timeout

@@ -6,11 +6,10 @@ lands in exactly one of the two, so ``completed + errors`` always equals
 the number of operations the scenarios issued (the invariant the swarm
 tests assert).
 
-Latencies go into :class:`LatencyHistogram` — geometric buckets from 1 µs
-to ~2 minutes (±~9 % resolution), so recording is O(1), memory is a few
-hundred ints regardless of run length, and percentiles (p50/p95/p99) come
-from a cumulative walk.  Throughput is a per-second series of completion
-counts keyed by whole seconds since the collector was created.
+Latencies go into :class:`repro.obs.Histogram` — the same geometric-bucket
+histogram (and wire form) the server records its stage timings into.
+Throughput is a per-second series of completion counts keyed by whole
+seconds since the collector was created.
 
 Each event-loop shard owns a private ``Metrics`` (single-writer, no lock);
 :meth:`Metrics.merge` folds shard collectors into one for reporting.
@@ -26,111 +25,17 @@ process (a tested invariant).
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Iterable
 
-# The bucket grid lives in repro.obs.histogram so the server's per-stage
-# histograms land on the same grid (and the same wire form) as the
-# swarm's client-side latencies.  The private aliases keep this module's
-# historical names working.
-from repro.obs.histogram import (
-    BUCKET_COUNT as _BUCKETS,
-    GROWTH as _GROWTH,
-    MIN_LATENCY as _MIN_LATENCY,
-    bucket_index as _bucket_index,
-    bucket_upper_bound as _bucket_upper_bound,
-)
-
-
-class LatencyHistogram:
-    """Counts per geometric latency bucket; totals are exact, values ±9 %."""
-
-    __slots__ = ("counts", "count", "total", "min", "max")
-
-    def __init__(self) -> None:
-        self.counts = [0] * _BUCKETS
-        self.count = 0
-        self.total = 0.0
-        self.min = math.inf
-        self.max = 0.0
-
-    def record(self, seconds: float) -> None:
-        self.counts[_bucket_index(seconds)] += 1
-        self.count += 1
-        self.total += seconds
-        if seconds < self.min:
-            self.min = seconds
-        if seconds > self.max:
-            self.max = seconds
-
-    def merge(self, other: "LatencyHistogram") -> None:
-        for i, n in enumerate(other.counts):
-            self.counts[i] += n
-        self.count += other.count
-        self.total += other.total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def percentile(self, p: float) -> float:
-        """Latency at percentile ``p`` (0..100): the upper bound of the
-        bucket holding the p-th sample, clamped to the observed max."""
-        if not self.count:
-            return 0.0
-        rank = max(1, math.ceil(self.count * p / 100.0))
-        seen = 0
-        for index, n in enumerate(self.counts):
-            seen += n
-            if seen >= rank:
-                return min(_bucket_upper_bound(index), self.max)
-        return self.max  # pragma: no cover - rank <= count by construction
-
-    def summary(self) -> dict:
-        return {
-            "count": self.count,
-            "mean_ms": round(self.mean * 1e3, 3),
-            "min_ms": round(self.min * 1e3, 3) if self.count else 0.0,
-            "max_ms": round(self.max * 1e3, 3),
-            "p50_ms": round(self.percentile(50) * 1e3, 3),
-            "p95_ms": round(self.percentile(95) * 1e3, 3),
-            "p99_ms": round(self.percentile(99) * 1e3, 3),
-        }
-
-    def to_wire(self) -> dict:
-        """JSON-safe full-fidelity form: sparse bucket counts plus the
-        exact totals, so a deserialized histogram merges and reports
-        exactly like the original."""
-        return {
-            "buckets": {str(i): n for i, n in enumerate(self.counts) if n},
-            "count": self.count,
-            "total": self.total,
-            "min": self.min if self.count else None,
-            "max": self.max,
-        }
-
-    @classmethod
-    def from_wire(cls, data: dict) -> "LatencyHistogram":
-        histogram = cls()
-        for index, n in data.get("buckets", {}).items():
-            histogram.counts[int(index)] = int(n)
-        histogram.count = int(data.get("count", 0))
-        histogram.total = float(data.get("total", 0.0))
-        minimum = data.get("min")
-        histogram.min = math.inf if minimum is None else float(minimum)
-        histogram.max = float(data.get("max", 0.0))
-        return histogram
-
+from repro.obs.histogram import Histogram
 
 @dataclass
 class MetricsSnapshot:
     """A merged, read-only view of one or more collectors."""
 
-    histograms: dict[str, LatencyHistogram] = field(default_factory=dict)
+    histograms: dict[str, Histogram] = field(default_factory=dict)
     errors: dict[str, int] = field(default_factory=dict)
     series: dict[int, int] = field(default_factory=dict)
 
@@ -171,7 +76,7 @@ class MetricsSnapshot:
     def from_wire(cls, data: dict) -> "MetricsSnapshot":
         return cls(
             histograms={
-                op: LatencyHistogram.from_wire(h)
+                op: Histogram.from_wire(h)
                 for op, h in data.get("histograms", {}).items()
             },
             errors={op: int(n) for op, n in data.get("errors", {}).items()},
@@ -204,7 +109,7 @@ def merge_snapshots(snapshots: Iterable[MetricsSnapshot]) -> MetricsSnapshot:
         for op, histogram in snapshot.histograms.items():
             into = merged.histograms.get(op)
             if into is None:
-                into = merged.histograms[op] = LatencyHistogram()
+                into = merged.histograms[op] = Histogram()
             into.merge(histogram)
         for op, n in snapshot.errors.items():
             merged.errors[op] = merged.errors.get(op, 0) + n
@@ -229,14 +134,14 @@ class Metrics:
         #: Second-zero reference for the throughput series; shards created
         #: by one engine share the engine's epoch so their series align.
         self.epoch = time.monotonic() if epoch is None else epoch
-        self._histograms: dict[str, LatencyHistogram] = {}
+        self._histograms: dict[str, Histogram] = {}
         self._errors: dict[str, int] = {}
         self._series: dict[int, int] = {}
 
     def record(self, op: str, seconds: float, now: float | None = None) -> None:
         histogram = self._histograms.get(op)
         if histogram is None:
-            histogram = self._histograms[op] = LatencyHistogram()
+            histogram = self._histograms[op] = Histogram()
         histogram.record(seconds)
         second = int((time.monotonic() if now is None else now) - self.epoch)
         self._series[second] = self._series.get(second, 0) + 1
@@ -255,7 +160,7 @@ class Metrics:
             for op, histogram in _stable_copy(collector._histograms).items():
                 into = snapshot.histograms.get(op)
                 if into is None:
-                    into = snapshot.histograms[op] = LatencyHistogram()
+                    into = snapshot.histograms[op] = Histogram()
                 into.merge(histogram)
             for op, n in _stable_copy(collector._errors).items():
                 snapshot.errors[op] = snapshot.errors.get(op, 0) + n

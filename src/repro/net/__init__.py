@@ -2,8 +2,8 @@
 
 The one place address handling lives: server transport, client endpoints,
 the swarm engine, and the benchmarks all route through
-:func:`parse_endpoint` / :class:`Endpoint` instead of hard-coded
-``(host, port)`` tuples, so every layer serves TCP and UNIX-domain
+:func:`parse_endpoint` / :class:`Endpoint` and spell addresses as
+``tcp://`` / ``unix://`` URLs, so every layer serves TCP and UNIX-domain
 transports interchangeably.
 """
 
@@ -16,7 +16,6 @@ from repro.net.endpoints import (
     cleanup_listener,
     create_dial_socket,
     dial,
-    format_endpoint,
     listen,
     parse_endpoint,
     recv_listener_fd,
@@ -35,7 +34,6 @@ __all__ = [
     "cleanup_listener",
     "create_dial_socket",
     "dial",
-    "format_endpoint",
     "listen",
     "parse_endpoint",
     "recv_listener_fd",

@@ -1,14 +1,14 @@
 """Endpoint URLs and family-aware socket helpers.
 
-Every component that used to hard-code ``(host, port)`` TCP tuples — the
-server transport, the client endpoints, the swarm engine, the benchmarks —
-now speaks :class:`Endpoint`, parsed from and formatted to small URLs:
+Every component that names a server address — the server transport, the
+client endpoints, the swarm engine, the benchmarks — speaks
+:class:`Endpoint`, parsed from and formatted to (:meth:`Endpoint.url`)
+small URLs.  A URL is the only spelling:
 
 * ``tcp://127.0.0.1:7199`` — a TCP address (port 0 = ephemeral on bind);
 * ``unix:///var/run/communix.sock`` — a filesystem UNIX-domain socket;
 * ``unix://@communix`` — a Linux abstract-namespace UNIX socket (no
-  filesystem entry, auto-cleaned by the kernel);
-* ``127.0.0.1:7199`` — legacy bare ``host:port``, kept for back-compat.
+  filesystem entry, auto-cleaned by the kernel).
 
 UNIX transport matters for the Fig. 2 sweep: loopback TCP pays per-packet
 protocol overhead and, more importantly, the 20k-FD container cap is per
@@ -123,17 +123,15 @@ def _parse_host_port(text: str, context: str) -> Endpoint:
 
 
 def parse_endpoint(spec) -> Endpoint:
-    """Parse an endpoint URL (or legacy ``host:port``) into an Endpoint.
-
-    Accepts an :class:`Endpoint` unchanged and a ``(host, port)`` tuple for
-    callers migrating from the old signature.
-    """
+    """Parse a ``tcp://`` / ``unix://`` URL into an Endpoint (an
+    :class:`Endpoint` passes through unchanged)."""
     if isinstance(spec, Endpoint):
         return spec
-    if isinstance(spec, tuple) and len(spec) == 2:
-        return Endpoint(scheme="tcp", host=str(spec[0]), port=int(spec[1]))
     if not isinstance(spec, str):
-        raise EndpointError(f"cannot parse endpoint from {spec!r}")
+        raise EndpointError(
+            f"cannot parse endpoint from {spec!r} "
+            "(want a tcp://HOST:PORT or unix:// URL)"
+        )
     text = spec.strip()
     if not text:
         raise EndpointError("empty endpoint")
@@ -149,18 +147,10 @@ def parse_endpoint(spec) -> Endpoint:
         if path in ("/", "@"):
             raise EndpointError(f"bad endpoint {spec!r}: empty unix path")
         return Endpoint(scheme="unix", path=path)
-    if "://" in text:
-        scheme = text.split("://", 1)[0]
-        raise EndpointError(
-            f"bad endpoint {spec!r}: unknown scheme {scheme!r} "
-            "(want tcp:// or unix://)"
-        )
-    # Legacy bare HOST:PORT.
-    return _parse_host_port(text, f"bad endpoint {spec!r}")
-
-
-def format_endpoint(endpoint: Endpoint) -> str:
-    return endpoint.url()
+    raise EndpointError(
+        f"bad endpoint {spec!r}: want tcp://HOST:PORT, unix:///PATH "
+        "or unix://@NAME"
+    )
 
 
 # ---------------------------------------------------------------- binding

@@ -3,9 +3,10 @@
 ``repro.obs`` is the instrumentation layer the server threads through
 every stage of its request pipeline (see ``docs/architecture.md`` §9):
 
-* :mod:`repro.obs.histogram` — the geometric latency-bucket math (shared
-  with the client swarm's :mod:`repro.loadgen.metrics`, so server-side and
-  client-side histograms are directly comparable) and
+* :mod:`repro.obs.histogram` — :class:`Histogram`, the one latency
+  histogram value type (the client swarm's :mod:`repro.loadgen.metrics`
+  records into it too, so server-side and client-side histograms are
+  directly comparable and share a wire form), and
   :class:`StageHistogram`, a thread-sharded recorder safe to hammer from
   the worker pool and the event loop at once;
 * :mod:`repro.obs.registry` — :class:`MetricsRegistry`, the process-wide
@@ -25,10 +26,10 @@ safe on the event-loop thread; ``bench_hotpath.py`` gates its overhead.
 
 from repro.obs.histogram import (
     BUCKET_COUNT,
+    Histogram,
     StageHistogram,
     bucket_index,
     bucket_upper_bound,
-    summary_from_wire,
 )
 from repro.obs.registry import (
     NULL_REGISTRY,
@@ -71,6 +72,7 @@ __all__ = [
     "ALL_STAGES",
     "BUCKET_COUNT",
     "Gauge",
+    "Histogram",
     "MetricsLogWriter",
     "MetricsRegistry",
     "NULL_REGISTRY",
@@ -102,5 +104,4 @@ __all__ = [
     "metric_name",
     "mint_trace_id",
     "render_prometheus",
-    "summary_from_wire",
 ]

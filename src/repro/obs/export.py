@@ -21,7 +21,7 @@ import json
 import threading
 import time
 
-from repro.obs.histogram import HistogramSnapshot, BUCKET_COUNT
+from repro.obs.histogram import Histogram
 from repro.util.logging import get_logger
 
 __all__ = ["render_prometheus", "MetricsLogWriter", "merge_registry_snapshots"]
@@ -39,28 +39,6 @@ def metric_name(name: str, namespace: str = "communix") -> str:
     return f"{namespace}_{cleaned}"
 
 
-def _snapshot_from_wire(data: dict) -> HistogramSnapshot:
-    counts = [0] * BUCKET_COUNT
-    for key, value in data.get("buckets", {}).items():
-        index = int(key)
-        if 0 <= index < BUCKET_COUNT:
-            counts[index] = int(value)
-    minimum = data.get("min")
-    exemplars: dict[int, str] = {}
-    for key, trace_id in data.get("exemplars", {}).items():
-        index = int(key)
-        if 0 <= index < BUCKET_COUNT:
-            exemplars[index] = str(trace_id)
-    return HistogramSnapshot(
-        counts,
-        int(data.get("count", 0)),
-        float(data.get("total", 0.0)),
-        0.0 if minimum is None else float(minimum),
-        float(data.get("max", 0.0)),
-        exemplars,
-    )
-
-
 def render_prometheus(snapshot: dict, namespace: str = "communix") -> str:
     """Render a ``MetricsRegistry.snapshot()`` dict as Prometheus text."""
     lines: list[str] = []
@@ -74,7 +52,7 @@ def render_prometheus(snapshot: dict, namespace: str = "communix") -> str:
         lines.append(f"{metric} {_fmt(value)}")
     for name, wire in snapshot.get("histograms", {}).items():
         metric = metric_name(name, namespace) + "_seconds"
-        hist = _snapshot_from_wire(wire)
+        hist = Histogram.from_wire(wire)
         lines.append(f"# TYPE {metric} summary")
         for pct, label in _QUANTILES:
             lines.append(
@@ -101,14 +79,13 @@ def merge_registry_snapshots(snapshots) -> dict:
     sum by name — for additive gauges (queue depths, connection counts)
     that is the pooled value; replicated gauges like ``db.size`` read as
     ``procs × size`` and callers that care overwrite them from one
-    authoritative worker.  Histograms merge bucket-by-bucket with summed
-    ``count``/``total`` and pooled ``min``/``max``, so percentiles of the
-    merged histogram equal percentiles of the pooled samples (same
-    guarantee as ``loadgen.metrics.merge_snapshots``).
+    authoritative worker.  Histograms fold with :meth:`Histogram.merge`,
+    so percentiles of the merged histogram equal percentiles of the
+    pooled samples.
     """
     counters: dict[str, int] = {}
     gauges: dict[str, float] = {}
-    histograms: dict[str, HistogramSnapshot] = {}
+    histograms: dict[str, Histogram] = {}
     sketches: dict[str, dict] = {}
     have_sketches = False
     for snapshot in snapshots:
@@ -135,26 +112,9 @@ def merge_registry_snapshots(snapshots) -> dict:
         for name, value in snapshot.get("gauges", {}).items():
             gauges[name] = gauges.get(name, 0.0) + float(value)
         for name, wire in snapshot.get("histograms", {}).items():
-            part = _snapshot_from_wire(wire)
-            merged = histograms.get(name)
-            if merged is None:
-                histograms[name] = part
-                continue
-            for i in range(BUCKET_COUNT):
-                merged.counts[i] += part.counts[i]
-            merged.count += part.count
-            merged.total += part.total
-            if part.count:
-                merged.min = (part.min if merged.count == part.count
-                              else min(merged.min, part.min))
-                merged.max = max(merged.max, part.max)
-            # Exemplars are "most recent trace in bucket"; across workers
-            # there is no ordering, so any representative will do — later
-            # snapshots win.
-            merged.exemplars.update(part.exemplars)
-    for hist in histograms.values():
-        if hist.count == 0:
-            hist.min = 0.0
+            histograms.setdefault(name, Histogram()).merge(
+                Histogram.from_wire(wire)
+            )
     merged = {
         "counters": {name: counters[name] for name in sorted(counters)},
         "gauges": {name: gauges[name] for name in sorted(gauges)},

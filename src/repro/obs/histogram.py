@@ -1,20 +1,29 @@
-"""Geometric latency-bucket math and a thread-sharded stage histogram.
+"""The latency histogram: one bucket grid, one value type, one wire form.
 
-The bucket layout is the one ``repro.loadgen.metrics`` has always used
-for client-side latencies — ~19% geometric buckets from 1 µs up — hoisted
-here so the server records its per-stage timings into *the same* bucket
-grid.  A server-side ``stage.validate`` histogram and a client-side
-``add`` histogram are directly comparable, and both sides speak the same
-wire form (``{"buckets": {...}, "count", "total", "min", "max"}``), so
-the STATS v2 payload can be decoded with the client's existing
-``LatencyHistogram.from_wire``.
+:class:`Histogram` counts samples per geometric bucket — ~19% wide, from
+1 µs up to ~2 minutes — so recording is O(1), memory is a few hundred
+ints regardless of run length, totals are exact and percentiles (±~9 %)
+come from a cumulative walk.  The swarm's client-side latencies
+(``repro.loadgen.metrics``) and the server's per-stage timings are the
+same class on the same grid, so a server-side ``stage.validate`` and a
+client-side ``add`` are directly comparable, and everything that crosses
+a process boundary — STATS v2, ``--metrics-log``, the federated swarm's
+worker results — is :meth:`Histogram.to_wire` on one side and
+:meth:`Histogram.from_wire` + :meth:`Histogram.merge` on the other.
+Buckets add under ``merge``, so a percentile of the merged histogram
+equals the percentile of the pooled samples (a tested invariant).
 
-:class:`StageHistogram` is the recording half: each thread owns a private
-shard (a flat list of ints/floats), so ``record()`` is a handful of
-in-place list writes — no locks, no allocation in steady state — and is
-safe to call from the event-loop thread.  ``snapshot()`` merges shards
-with the same retry-on-resize discipline as
-:class:`repro.obs.registry.ShardedCounter`.
+Two conventions, stated once: ``min`` is ``inf`` in memory while the
+histogram is empty (so it folds with ``min()``) and ``0.0`` on the wire
+(JSON has no infinity); ``summary()`` reports milliseconds rounded to
+1 µs, and ``{"count": 0}`` when empty.
+
+:class:`StageHistogram` is the multi-writer recording half: each thread
+owns a private shard (a flat list of ints/floats), so ``record()`` is a
+handful of in-place list writes — no locks, no allocation in steady
+state — and is safe to call from the event-loop thread.  ``snapshot()``
+merges the shards into a :class:`Histogram` with the same
+retry-on-resize discipline as :class:`repro.obs.registry.ShardedCounter`.
 """
 
 from __future__ import annotations
@@ -28,13 +37,12 @@ __all__ = [
     "BUCKET_COUNT",
     "bucket_index",
     "bucket_upper_bound",
+    "Histogram",
     "StageHistogram",
-    "HistogramSnapshot",
-    "summary_from_wire",
 ]
 
 # ~19% geometric buckets: 1us .. ~100s in 108 buckets.  Any change here
-# changes the wire form shared with repro.loadgen.metrics — don't.
+# changes the wire form every process of a tier shares — don't.
 MIN_LATENCY = 1e-6
 GROWTH = 2 ** 0.25
 _LOG_GROWTH = math.log(GROWTH)
@@ -56,52 +64,78 @@ def bucket_upper_bound(index: int) -> float:
     return MIN_LATENCY * GROWTH ** index
 
 
-# Shard layout: [count, total, min, max, bucket_0 .. bucket_N-1].  A flat
-# list keeps record() to indexed stores with zero per-sample allocation.
-_COUNT = 0
-_TOTAL = 1
-_MIN = 2
-_MAX = 3
-_HDR = 4
-
-
-class HistogramSnapshot:
-    """Immutable merged view of a :class:`StageHistogram`."""
+class Histogram:
+    """Counts per geometric latency bucket; single-writer (one event-loop
+    shard, or a merged read-only view)."""
 
     __slots__ = ("counts", "count", "total", "min", "max", "exemplars")
 
-    def __init__(self, counts, count, total, minimum, maximum,
-                 exemplars=None):
-        self.counts = counts
-        self.count = count
-        self.total = total
-        self.min = minimum
-        self.max = maximum
+    def __init__(self) -> None:
+        self.counts = [0] * BUCKET_COUNT
+        self.count = 0
+        self.total = 0.0
+        self.min = math.inf
+        self.max = 0.0
         # bucket index -> most recent trace id (hex) seen in that bucket.
-        self.exemplars: dict[int, str] = exemplars or {}
+        self.exemplars: dict[int, str] = {}
+
+    def record(self, seconds: float, exemplar: str | None = None) -> None:
+        bucket = bucket_index(seconds)
+        self.counts[bucket] += 1
+        self.count += 1
+        self.total += seconds
+        if seconds < self.min:
+            self.min = seconds
+        if seconds > self.max:
+            self.max = seconds
+        if exemplar is not None:
+            self.exemplars[bucket] = exemplar
+
+    def merge(self, other: "Histogram") -> None:
+        """Fold ``other`` in: buckets, count and total add, min/max pool.
+        Exemplars are "most recent trace in bucket"; across histograms
+        there is no ordering, so the later-merged one wins."""
+        for i, n in enumerate(other.counts):
+            self.counts[i] += n
+        self.count += other.count
+        self.total += other.total
+        self.min = min(self.min, other.min)
+        self.max = max(self.max, other.max)
+        self.exemplars.update(other.exemplars)
 
     def percentile(self, pct: float) -> float:
-        if self.count == 0:
+        """Latency at percentile ``pct`` (0..100): the upper bound of the
+        bucket holding that sample, clamped to the observed max."""
+        if not self.count:
             return 0.0
-        target = max(1, math.ceil(self.count * pct / 100.0))
+        rank = max(1, math.ceil(self.count * pct / 100.0))
         seen = 0
-        for index, bucket_count in enumerate(self.counts):
-            seen += bucket_count
-            if seen >= target:
+        for index, n in enumerate(self.counts):
+            seen += n
+            if seen >= rank:
                 return min(bucket_upper_bound(index), self.max)
-        return self.max
+        return self.max  # pragma: no cover - rank <= count by construction
+
+    def summary(self) -> dict:
+        if not self.count:
+            return {"count": 0}
+        return {
+            "count": self.count,
+            "mean_ms": round(self.total / self.count * 1e3, 3),
+            "min_ms": round(self.min * 1e3, 3),
+            "max_ms": round(self.max * 1e3, 3),
+            "p50_ms": round(self.percentile(50) * 1e3, 3),
+            "p95_ms": round(self.percentile(95) * 1e3, 3),
+            "p99_ms": round(self.percentile(99) * 1e3, 3),
+        }
 
     def to_wire(self) -> dict:
-        """Same wire schema as ``loadgen.metrics.LatencyHistogram.to_wire``.
-
-        The ``exemplars`` key is added only when any were recorded, so
-        exemplar-free histograms keep the exact historical wire dict
-        (``loadgen``'s ``from_wire`` ignores unknown keys either way).
-        """
+        """JSON-safe full-fidelity form: sparse bucket counts plus the
+        exact totals, so a deserialized histogram merges and reports
+        exactly like the original.  ``exemplars`` appears only when any
+        were recorded."""
         wire = {
-            "buckets": {
-                str(i): c for i, c in enumerate(self.counts) if c
-            },
+            "buckets": {str(i): n for i, n in enumerate(self.counts) if n},
             "count": self.count,
             "total": self.total,
             "min": self.min if self.count else 0.0,
@@ -114,24 +148,35 @@ class HistogramSnapshot:
             }
         return wire
 
-    def slowest_exemplar(self) -> str | None:
-        """Trace id behind the highest occupied exemplar bucket, if any."""
-        if not self.exemplars:
-            return None
-        return self.exemplars[max(self.exemplars)]
+    @classmethod
+    def from_wire(cls, data: dict) -> "Histogram":
+        """Inverse of :meth:`to_wire`; bucket indices off the grid (a
+        peer on a different grid) are dropped rather than raised on."""
+        histogram = cls()
+        for key, n in data.get("buckets", {}).items():
+            index = int(key)
+            if 0 <= index < BUCKET_COUNT:
+                histogram.counts[index] = int(n)
+        histogram.count = int(data.get("count", 0))
+        histogram.total = float(data.get("total", 0.0))
+        if histogram.count:
+            histogram.min = float(data.get("min", 0.0))
+        histogram.max = float(data.get("max", 0.0))
+        for key, trace_id in data.get("exemplars", {}).items():
+            index = int(key)
+            if 0 <= index < BUCKET_COUNT:
+                histogram.exemplars[index] = str(trace_id)
+        return histogram
 
-    def summary(self) -> dict:
-        if self.count == 0:
-            return {"count": 0}
-        return {
-            "count": self.count,
-            "mean_ms": (self.total / self.count) * 1000.0,
-            "min_ms": self.min * 1000.0,
-            "max_ms": self.max * 1000.0,
-            "p50_ms": self.percentile(50.0) * 1000.0,
-            "p95_ms": self.percentile(95.0) * 1000.0,
-            "p99_ms": self.percentile(99.0) * 1000.0,
-        }
+
+# StageHistogram shard layout: [count, total, min, max, bucket_0 ..
+# bucket_N-1].  A flat list keeps record() to indexed stores with zero
+# per-sample allocation.
+_COUNT = 0
+_TOTAL = 1
+_MIN = 2
+_MAX = 3
+_HDR = 4
 
 
 class StageHistogram:
@@ -178,7 +223,7 @@ class StageHistogram:
         if exemplar is not None:
             self._exemplars[bucket] = exemplar
 
-    def snapshot(self) -> HistogramSnapshot:
+    def snapshot(self) -> Histogram:
         while True:
             try:
                 shards = [list(s) for s in self._shards.values()]
@@ -186,50 +231,22 @@ class StageHistogram:
             except RuntimeError:
                 # A thread registered a new shard mid-iteration; retry.
                 continue
-        counts = [0] * BUCKET_COUNT
-        count = 0
-        total = 0.0
-        minimum = math.inf
-        maximum = 0.0
+        merged = Histogram()
+        counts = merged.counts
         for shard in shards:
-            count += shard[_COUNT]
-            total += shard[_TOTAL]
-            if shard[_MIN] < minimum:
-                minimum = shard[_MIN]
-            if shard[_MAX] > maximum:
-                maximum = shard[_MAX]
+            merged.count += shard[_COUNT]
+            merged.total += shard[_TOTAL]
+            if shard[_MIN] < merged.min:
+                merged.min = shard[_MIN]
+            if shard[_MAX] > merged.max:
+                merged.max = shard[_MAX]
             for i in range(BUCKET_COUNT):
                 counts[i] += shard[_HDR + i]
-        if count == 0:
-            minimum = 0.0
-        return HistogramSnapshot(
-            counts, count, total, minimum, maximum, dict(self._exemplars)
-        )
+        merged.exemplars = dict(self._exemplars)
+        return merged
 
     def to_wire(self) -> dict:
         return self.snapshot().to_wire()
 
     def summary(self) -> dict:
         return self.snapshot().summary()
-
-
-def summary_from_wire(data: dict) -> dict:
-    """Percentile summary from a wire-form histogram dict.
-
-    Used by the client CLI to pretty-print STATS v2 stage histograms
-    without importing the loadgen package.
-    """
-    counts = [0] * BUCKET_COUNT
-    for key, value in dict(data.get("buckets", {})).items():
-        index = int(key)
-        if 0 <= index < BUCKET_COUNT:
-            counts[index] = int(value)
-    minimum = data.get("min")
-    snap = HistogramSnapshot(
-        counts,
-        int(data.get("count", 0)),
-        float(data.get("total", 0.0)),
-        0.0 if minimum is None else float(minimum),
-        float(data.get("max", 0.0)),
-    )
-    return snap.summary()

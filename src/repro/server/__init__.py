@@ -2,8 +2,8 @@
 
 The server collects deadlock signatures from all machines and serves them
 back incrementally.  It processes two request types — ``ADD(sig)`` and
-``GET(k)`` ("send me the signatures from the database starting from index
-k") — and performs server-side validation: encrypted sender IDs, a
+``GET(k, m)`` ("send me up to m signatures from the database starting
+from index k") — and performs server-side validation: encrypted sender IDs, a
 per-user-per-day quota, and the same-user adjacency check.
 
 :class:`CommunixServer` is the request-processing core, directly invokable
@@ -15,8 +15,8 @@ from repro.server.database import SignatureDatabase
 from repro.server.protocol import (
     read_frame,
     write_frame,
-    encode_get_response,
-    decode_get_response,
+    encode_get_page_response,
+    decode_get_page,
 )
 from repro.server.ratelimit import DailyQuota
 from repro.server.server import AddOutcome, CommunixServer, ServerConfig
@@ -27,8 +27,8 @@ __all__ = [
     "SignatureDatabase",
     "read_frame",
     "write_frame",
-    "encode_get_response",
-    "decode_get_response",
+    "encode_get_page_response",
+    "decode_get_page",
     "DailyQuota",
     "AddOutcome",
     "CommunixServer",

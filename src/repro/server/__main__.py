@@ -2,7 +2,7 @@
 
 Usage::
 
-    python -m repro.server [--addr tcp://0.0.0.0:7199]
+    python -m repro.server [--addr tcp://127.0.0.1:7199]
         [--addr unix:///var/run/communix.sock]
         [--quota-per-day 10] [--no-adjacency-check]
         [--data-dir /var/lib/communix] [--fsync always]
@@ -11,9 +11,8 @@ Usage::
         [--slow-request-ms 50] [--no-metrics]
 
 ``--addr`` is repeatable: the server listens on every given endpoint
-simultaneously (TCP and UNIX-domain clients share one database).  The
-older ``--host``/``--port`` pair still works as a deprecated alias for a
-single ``tcp://HOST:PORT`` endpoint.  With ``--data-dir`` the signature
+simultaneously (TCP and UNIX-domain clients share one database); the
+default is ``tcp://127.0.0.1:7199``.  With ``--data-dir`` the signature
 database is durable: accepted signatures go to a segmented write-ahead
 log (fsync policy per ``--fsync``), restart replays it, and ``SIGTERM``/
 ``SIGINT`` trigger a graceful drain — in-flight requests finish, the log
@@ -38,7 +37,7 @@ import sys
 import threading
 
 from repro.crypto.backend import get_backend
-from repro.net import EndpointError, parse_endpoint, tcp_endpoint
+from repro.net import EndpointError, parse_endpoint
 from repro.obs import MetricsLogWriter
 from repro.server.server import CommunixServer, ServerConfig
 from repro.server.transport import ServerTransport
@@ -46,8 +45,7 @@ from repro.store import StoreError, parse_fsync_policy
 from repro.util.errors import CryptoError
 from repro.util.logging import enable_console_logging
 
-DEFAULT_HOST = "127.0.0.1"
-DEFAULT_PORT = 7199
+DEFAULT_ADDR = "tcp://127.0.0.1:7199"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,12 +56,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--addr", action="append", metavar="URL", default=None,
         help="listen endpoint (tcp://HOST:PORT or unix:///PATH or "
-             "unix://@NAME); repeat to serve several at once",
+             f"unix://@NAME; default {DEFAULT_ADDR}); repeat to serve "
+             "several at once",
     )
-    parser.add_argument("--host", default=None,
-                        help="deprecated alias for --addr tcp://HOST:PORT")
-    parser.add_argument("--port", type=int, default=None,
-                        help="deprecated alias for --addr tcp://HOST:PORT")
     parser.add_argument(
         "--quota-per-day", type=int, default=10,
         help="max signatures accepted per user per day (paper: 10)",
@@ -183,28 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def resolve_endpoints(args) -> list:
-    """The endpoint list from ``--addr`` flags, or the legacy
-    ``--host``/``--port`` pair as one TCP endpoint."""
-    if args.addr:
-        endpoints = [parse_endpoint(spec) for spec in args.addr]
-        if args.host is not None or args.port is not None:
-            print("warning: --host/--port are ignored when --addr is given",
-                  file=sys.stderr)
-        return endpoints
-    host = args.host if args.host is not None else DEFAULT_HOST
-    port = args.port if args.port is not None else DEFAULT_PORT
-    return [tcp_endpoint(host, port)]
-
-
-def _format_primary(endpoint) -> str:
-    """The first printed address: legacy ``host:port`` spelling for TCP
-    (scripts parse it), the URL form for everything else."""
-    if endpoint.is_tcp:
-        return f"{endpoint.host}:{endpoint.port}"
-    return endpoint.url()
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     enable_console_logging()
@@ -215,7 +188,8 @@ def main(argv: list[str] | None = None) -> int:
 
         return federation_worker_main(args)
     try:
-        endpoints = resolve_endpoints(args)
+        endpoints = [parse_endpoint(spec)
+                     for spec in args.addr or [DEFAULT_ADDR]]
     except EndpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -291,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         metrics_writer.start()
     bound = transport.bound_endpoints
-    print(f"communix-server listening on {_format_primary(bound[0])} "
+    print(f"communix-server listening on {bound[0].url()} "
           f"(quota {config.max_signatures_per_user_per_day}/user/day, "
           f"crypto backend {server.authority.backend_name})")
     for endpoint in bound[1:]:

@@ -442,16 +442,12 @@ class SignatureDatabase:
             self._segments.pop()
 
     # ------------------------------------------------------------- reading
-    def _range(self, start: int, max_count: int | None) -> tuple[int, int, int]:
+    def _range(self, start: int, max_count: int) -> tuple[int, int, int]:
         """(start, end, next_index) for a read of ``max_count`` from
         ``start`` against the current published count."""
         n = self._count
         start = min(max(0, start), n)
-        if max_count is None:
-            end = n
-        else:
-            end = min(n, start + max(0, max_count))
-        return start, end, n
+        return start, min(n, start + max(0, max_count)), n
 
     def _segments_for(self, start: int, end: int):
         """Yield (segment, lo, hi) triples covering [start, end)."""
@@ -462,12 +458,7 @@ class SignatureDatabase:
             hi = min(size, end - seg.base)
             yield seg, lo, hi
 
-    def blobs_from(self, start: int) -> tuple[int, list[bytes]]:
-        """(next_index, blobs) for an unpaginated ``GET(start)``."""
-        next_index, blobs, _ = self.blobs_page(start, None)
-        return next_index, blobs
-
-    def blobs_page(self, start: int, max_count: int | None
+    def blobs_page(self, start: int, max_count: int
                    ) -> tuple[int, list[bytes], bool]:
         """(next_index, blobs, more) for ``GET(start, max_count)``.
 
@@ -483,16 +474,12 @@ class SignatureDatabase:
             blobs.extend(seg.snapshot(hi)[lo:hi])
         return end, blobs, end < n
 
-    def wire_from(self, start: int, max_count: int | None = None
+    def wire_from(self, start: int, max_count: int
                   ) -> tuple[int, int, tuple[bytes, ...], bool]:
         """(next_index, count, chunks, more): the GET response body as
         precomposed record chunks — one cached chunk per fully-covered
-        segment, so a warm full-database read costs O(segments).
-
-        Paginated reads (``max_count`` given) additionally go through the
-        response-level page cache: a hot page is one dict lookup."""
-        if max_count is None:
-            return self._wire_range(start, None)
+        segment — served through the response-level page cache, so a hot
+        page is one dict lookup."""
         key = (start, max_count)
         cached = self._page_cache.get(key)
         if cached is not None:
@@ -502,7 +489,7 @@ class SignatureDatabase:
         self._page_cache.put(key, result, version)
         return result
 
-    def _wire_range(self, start: int, max_count: int | None
+    def _wire_range(self, start: int, max_count: int
                     ) -> tuple[int, int, tuple[bytes, ...], bool]:
         start, end, n = self._range(start, max_count)
         if start >= end:

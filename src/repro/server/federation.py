@@ -8,8 +8,8 @@ the way the store's single-writer invariants demand:
 * **Endpoint sharing** — TCP endpoints are bound by every worker with
   ``SO_REUSEPORT`` (the kernel load-balances accepts across the
   processes); the coordinator holds each resolved port open with a
-  bound-but-never-listening probe socket so ``--port 0`` stays stable
-  across worker restarts.  UNIX endpoints cannot be re-bound, so the
+  bound-but-never-listening probe socket so a ``tcp://HOST:0`` port stays
+  stable across worker restarts.  UNIX endpoints cannot be re-bound, so the
   coordinator binds + listens once and passes the listening FD to every
   worker over an inherited socketpair (``SCM_RIGHTS``); all workers then
   ``accept`` from the same socket.
@@ -425,12 +425,6 @@ def _drain_group(group: list[_Worker]) -> None:
         _pump_events(live, "result", time.monotonic() + _DRAIN_TIMEOUT)
 
 
-def _format_primary(endpoint) -> str:
-    if endpoint.is_tcp:
-        return f"{endpoint.host}:{endpoint.port}"
-    return endpoint.url()
-
-
 def _merged_metrics(results: list[dict]) -> dict:
     """One registry snapshot for the whole tier: counters/histograms sum;
     the replicated database gauges are taken from the owner alone (every
@@ -516,7 +510,7 @@ def run_federation(args, endpoints, admin_endpoints) -> int:
               f"{', '.join(str(w.pid) for w in replicas) or 'none'})")
         if ready0.get("restored"):
             print(ready0["restored"])
-        print(f"communix-server listening on {_format_primary(bound[0])} "
+        print(f"communix-server listening on {bound[0].url()} "
               f"(quota {args.quota_per_day}/user/day, "
               f"crypto backend {ready0.get('backend', '?')}, "
               f"{procs} worker processes)")

@@ -4,27 +4,22 @@ Every message is one *frame*: a 4-byte big-endian length followed by that
 many payload bytes.  Requests are canonical-JSON frames::
 
     {"op": "ADD", "token": "<hex>", "signature": "<base64 blob>"}
-    {"op": "GET", "from_index": k}                     # unpaginated (legacy)
-    {"op": "GET", "from_index": k, "max_count": m}     # paginated
+    {"op": "GET", "from_index": k, "max_count": m}
     {"op": "ISSUE_ID"}
-    {"op": "STATS"}                                    # v1 (legacy shape)
-    {"op": "STATS", "version": 2}                      # + histograms/metrics
+    {"op": "STATS"}                  # v1: six counters (readiness probe)
+    {"op": "STATS", "version": 2}    # + histograms/metrics
 
-``ADD``/``ISSUE_ID``/``STATS`` responses are JSON frames.  ``GET`` responses
-use a binary layout so the client can store and count signatures without
-JSON-decoding each one (the agent parses them later, once, at startup).
-An unpaginated request is answered in the legacy layout, so pre-pagination
-clients keep working unchanged::
-
-    b"SIGS" | next_index:u32 | count:u32 | (len:u32 | blob)*count
-
-A paginated request (``max_count`` present) is answered with a ``more``
-flag, so a cold client can stream the database in bounded frames and loop
-until drained::
+``ADD``/``ISSUE_ID``/``STATS`` responses are JSON frames.  ``GET`` is
+paginated — ``max_count`` is required — and answered in one binary layout,
+so the client can store and count signatures without JSON-decoding each
+one (the agent parses them later, once, at startup).  The ``more`` flag
+lets a cold client stream the database in bounded frames and loop until
+drained::
 
     b"SIG2" | next_index:u32 | count:u32 | more:u8 | (len:u32 | blob)*count
 
-Truncated or oversized frames raise :class:`ProtocolError`.
+Truncated or oversized frames, and any other GET response layout, raise
+:class:`ProtocolError`.
 """
 
 from __future__ import annotations
@@ -38,7 +33,6 @@ from repro.util.encoding import canonical_json, from_canonical_json
 from repro.util.errors import ProtocolError
 
 MAX_FRAME = 256 * 1024 * 1024  # GET(0) of a large database can be big
-_GET_MAGIC = b"SIGS"
 _GET_PAGE_MAGIC = b"SIG2"
 
 
@@ -121,9 +115,7 @@ def _checked_int(value: Any, field: str, *, minimum: int = 0) -> int:
 
 
 def encode_stats_request(version: int = 1) -> bytes:
-    """A STATS request frame; ``version`` is omitted for v1 so the frame
-    is byte-identical to what pre-versioning clients always sent (old
-    servers ignore unknown fields either way)."""
+    """A STATS request frame; ``version`` is omitted for v1."""
     if version <= 1:
         return encode_request({"op": "STATS"})
     return encode_request({"op": "STATS", "version": version})
@@ -142,20 +134,20 @@ def decode_stats_version(request: dict[str, Any]) -> int:
     return raw
 
 
-def decode_get_args(request: dict[str, Any]) -> tuple[int, int | None]:
+def decode_get_args(request: dict[str, Any]) -> tuple[int, int]:
     """Validated ``(from_index, max_count)`` of a GET request.
 
     Anything that is not a non-negative JSON integer — floats, strings,
     booleans, negatives — raises :class:`ProtocolError`, so a malformed
     request becomes a clean protocol-level error frame instead of an
-    exception inside the server's worker pool.  ``max_count`` is ``None``
-    when absent (the legacy unpaginated form).
+    exception inside the server's worker pool.  ``max_count`` is required:
+    every GET is one bounded page.
     """
     from_index = _checked_int(request.get("from_index", 0), "from_index")
-    raw_max = request.get("max_count")
-    if raw_max is None:
-        return from_index, None
-    return from_index, _checked_int(raw_max, "max_count")
+    max_count = request.get("max_count")
+    if max_count is None:
+        raise ProtocolError("GET requires max_count (responses are paginated)")
+    return from_index, _checked_int(max_count, "max_count")
 
 
 # ------------------------------------------------------------ GET response
@@ -169,34 +161,12 @@ def pack_signature_record(blob: bytes) -> bytes:
     return struct.pack(">I", len(blob)) + blob
 
 
-def encode_get_response(next_index: int, blobs: list[bytes]) -> bytes:
-    parts = [_GET_MAGIC, struct.pack(">II", next_index, len(blobs))]
-    for blob in blobs:
-        parts.append(struct.pack(">I", len(blob)))
-        parts.append(blob)
-    return b"".join(parts)
-
-
-def get_response_parts(next_index: int, count: int,
-                       chunks: Iterable[bytes]) -> list[bytes]:
-    """Legacy-layout GET response as a parts list (header + precomposed
-    record chunks).  The transport writes parts with vectored I/O, so a
-    cache-hit GET never copies the payload into one buffer."""
-    return [_GET_MAGIC, struct.pack(">II", next_index, count), *chunks]
-
-
 def get_page_response_parts(next_index: int, count: int,
                             chunks: Iterable[bytes], more: bool) -> list[bytes]:
     """Paginated GET response (``SIG2``) as a parts list."""
     return [_GET_PAGE_MAGIC,
             struct.pack(">IIB", next_index, count, 1 if more else 0),
             *chunks]
-
-
-def encode_get_response_chunks(next_index: int, count: int,
-                               chunks: Iterable[bytes]) -> bytes:
-    """Legacy-layout GET response from precomposed record chunks."""
-    return b"".join(get_response_parts(next_index, count, chunks))
 
 
 def encode_get_page_response(next_index: int, count: int,
@@ -221,43 +191,16 @@ def _decode_records(payload: bytes, offset: int, count: int) -> list[bytes]:
     return blobs
 
 
-def decode_get_response(payload: bytes) -> tuple[int, list[bytes]]:
-    if len(payload) < 12 or payload[:4] != _GET_MAGIC:
-        raise ProtocolError("malformed GET response header")
-    next_index, count = struct.unpack(">II", payload[4:12])
-    return next_index, _decode_records(payload, 12, count)
-
-
-def decode_get_page(payload: bytes) -> tuple[int, list[bytes], bool]:
-    """(next_index, blobs, more) from either GET response layout.
-
-    Accepts the paginated ``SIG2`` layout and the legacy ``SIGS`` layout
-    (``more`` is then False: an unpaginated response is always complete).
-    """
-    if len(payload) >= 13 and payload[:4] == _GET_PAGE_MAGIC:
-        next_index, count, more = struct.unpack(">IIB", payload[4:13])
-        return next_index, _decode_records(payload, 13, count), bool(more)
-    next_index, blobs = decode_get_response(payload)
-    return next_index, blobs, False
-
-
 def count_get_page(payload: bytes) -> tuple[int, int, bool]:
     """(next_index, count, more) without materializing the blobs — what a
     load-generation client uses to follow a paginated drain cheaply."""
-    if len(payload) >= 13 and payload[:4] == _GET_PAGE_MAGIC:
-        next_index, count, more = struct.unpack(">IIB", payload[4:13])
-        return next_index, count, bool(more)
-    next_index, count = count_get_response(payload)
-    return next_index, count, False
+    if len(payload) < 13 or payload[:4] != _GET_PAGE_MAGIC:
+        raise ProtocolError("malformed GET response header (want SIG2)")
+    next_index, count, more = struct.unpack(">IIB", payload[4:13])
+    return next_index, count, bool(more)
 
 
-def count_get_response(payload: bytes) -> tuple[int, int]:
-    """(next_index, count) without materializing the blobs — what the
-    Communix client uses to account for a download cheaply."""
-    if len(payload) >= 13 and payload[:4] == _GET_PAGE_MAGIC:
-        next_index, count = struct.unpack(">II", payload[4:12])
-        return next_index, count
-    if len(payload) < 12 or payload[:4] != _GET_MAGIC:
-        raise ProtocolError("malformed GET response header")
-    next_index, count = struct.unpack(">II", payload[4:12])
-    return next_index, count
+def decode_get_page(payload: bytes) -> tuple[int, list[bytes], bool]:
+    """(next_index, blobs, more) from a ``SIG2`` GET response."""
+    next_index, count, more = count_get_page(payload)
+    return next_index, _decode_records(payload, 13, count), more

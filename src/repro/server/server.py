@@ -1,7 +1,7 @@
 """The Communix server's request-processing core (paper §III-B/C2, §IV-A).
 
-``process_add`` and ``process_get`` are the two routines the paper's Fig. 2
-invokes "from 1,000-100,000 simultaneous threads"; they are fully
+``process_add`` and ``process_get_page`` are the two routines the paper's
+Fig. 2 invokes "from 1,000-100,000 simultaneous threads"; they are fully
 thread-safe and independent of any transport.  :class:`ServerTransport`
 wraps them for the network (Fig. 3); benchmarks and tests may call them
 directly.
@@ -38,7 +38,7 @@ from repro.util.logging import get_logger
 log = get_logger("server")
 
 #: Current STATS response schema version; ``{"op": "STATS"}`` without a
-#: ``version`` field still gets the original v1 shape.
+#: ``version`` field gets the six-counter v1 shape (the readiness probe).
 STATS_VERSION = 2
 
 
@@ -51,7 +51,7 @@ class ServerConfig:
     #: ~1.7 KB (paper §IV-A), so this is generous while bounding abuse.
     max_signature_bytes: int = 64 * 1024
     #: Hard cap on one paginated GET page; an oversized ``max_count`` from a
-    #: client is clamped here.  Unpaginated (legacy) GETs are never clamped.
+    #: client is clamped here.
     max_get_page: int = 4096
     #: Durability: directory for the segmented write-ahead log (see
     #: :mod:`repro.store`).  ``None`` keeps the seed behavior — memory only,
@@ -404,9 +404,7 @@ class CommunixServer:
                 trace.stamp(STAGE_DB_APPEND, elapsed)
         return AddOutcome(accepted=True, verdict="ok", index=index)
 
-    def _clamp_page(self, max_count: int | None) -> int | None:
-        if max_count is None:
-            return None
+    def _clamp_page(self, max_count: int) -> int:
         return min(max(0, max_count), self.config.max_get_page)
 
     @staticmethod
@@ -421,21 +419,14 @@ class CommunixServer:
         except TypeError as exc:
             raise ProtocolError("GET from_index must be an integer") from exc
 
-    def process_get(self, from_index: int,
-                    max_count: int | None = None) -> tuple[int, list[bytes]]:
-        """Handle ``GET(k)``: blobs from database index ``k`` on.
-
-        Returns ``(next_index, blobs)`` so the client can resume
-        incrementally with ``GET(next_index)`` tomorrow.  With ``max_count``
-        the page is bounded (and clamped to ``config.max_get_page``); use
-        :meth:`process_get_page` when the ``more`` flag is needed too.
-        """
-        next_index, blobs, _ = self.process_get_page(from_index, max_count)
-        return next_index, blobs
-
-    def process_get_page(self, from_index: int, max_count: int | None = None
+    def process_get_page(self, from_index: int, max_count: int
                          ) -> tuple[int, list[bytes], bool]:
-        """Paginated GET: ``(next_index, blobs, more)``."""
+        """Handle ``GET(k, m)``: up to ``max_count`` blobs (clamped to
+        ``config.max_get_page``) from database index ``k`` on.
+
+        Returns ``(next_index, blobs, more)`` so the client can loop while
+        ``more`` and resume incrementally with ``GET(next_index)`` tomorrow.
+        """
         next_index, blobs, more = self.database.blobs_page(
             self._checked_index(from_index), self._clamp_page(max_count)
         )
@@ -443,7 +434,7 @@ class CommunixServer:
         self._counters.signatures_served.add(len(blobs))
         return next_index, blobs, more
 
-    def process_get_wire(self, from_index: int, max_count: int | None = None,
+    def process_get_wire(self, from_index: int, max_count: int,
                          trace=None
                          ) -> tuple[int, int, tuple[bytes, ...], bool]:
         """GET for the transport hot path: ``(next_index, count, chunks,
@@ -473,8 +464,8 @@ class CommunixServer:
     def stats_payload(self, version: int = 1) -> dict:
         """The STATS response body for the requested schema version.
 
-        v1 is the original six-field shape, preserved byte-for-key for
-        old clients.  v2 is a superset: everything v1 has, plus the
+        v1 is the six-counter shape a readiness probe needs (cheap: no
+        registry snapshot).  v2 is a superset: everything v1 has, plus the
         rejection breakdown, ``signatures_served``, token-cache
         occupancy, and the full registry snapshot (per-stage histograms
         in the loadgen wire form, event-loop gauges, derived counters).

@@ -97,7 +97,6 @@ from repro.server.protocol import (
     decode_request,
     decode_stats_version,
     get_page_response_parts,
-    get_response_parts,
 )
 from repro.server.server import CommunixServer
 from repro.util.encoding import canonical_json
@@ -270,16 +269,17 @@ class _Connection:
 
 
 class ServerTransport:
-    def __init__(self, server: CommunixServer, host: str = "127.0.0.1",
-                 port: int = 0, accept_backlog: int = 512,
-                 workers: int = 8, idle_timeout: float = 60.0,
-                 drain_timeout: float = 2.0, endpoints=None,
+    def __init__(self, server: CommunixServer, endpoints=None,
+                 accept_backlog: int = 512, workers: int = 8,
+                 idle_timeout: float = 60.0, drain_timeout: float = 2.0,
                  admin_endpoints=None, slow_request_ms: float | None = None,
                  listen_sockets=None, reuse_port: bool = False,
                  cleanup_listeners: bool = True):
         """``endpoints`` is a list of endpoint URLs / :class:`Endpoint`
-        objects to listen on simultaneously; when omitted, the legacy
-        ``host``/``port`` pair becomes a single TCP endpoint.
+        objects to listen on simultaneously; when omitted (and no
+        ``listen_sockets`` are given) the transport binds one ephemeral
+        ``tcp://127.0.0.1:0`` endpoint — read :attr:`bound_endpoints`
+        after ``start()`` for the resolved port.
         ``admin_endpoints`` are served as a plaintext-HTTP observability
         plane (``GET /metrics`` Prometheus text, ``/stats`` JSON,
         ``/healthz``) from the same event loop.  ``slow_request_ms``
@@ -295,12 +295,9 @@ class ServerTransport:
         (least of all a crashing one) must never unlink a path its
         siblings still serve."""
         self._server = server
-        if endpoints:
-            self._endpoints = [parse_endpoint(ep) for ep in endpoints]
-        elif listen_sockets:
-            self._endpoints = []
-        else:
-            self._endpoints = [tcp_endpoint(host, port)]
+        if not endpoints and not listen_sockets:
+            endpoints = [tcp_endpoint()]
+        self._endpoints = [parse_endpoint(ep) for ep in endpoints or []]
         self._listen_sockets = list(listen_sockets or [])
         self._reuse_port = reuse_port
         self._cleanup_listeners = cleanup_listeners
@@ -382,10 +379,9 @@ class ServerTransport:
         self._c_loop_shed = metrics.counter("net.guard_loop_shed")
 
     # ------------------------------------------------------------ lifecycle
-    def start(self) -> tuple[str, int]:
-        """Bind every endpoint and start the loop.  Returns the legacy
-        ``(host, port)`` pair — see :attr:`address`; multi-endpoint callers
-        read :attr:`bound_endpoints` for the full list."""
+    def start(self) -> None:
+        """Bind every endpoint and start the loop; the resolved addresses
+        are in :attr:`bound_endpoints`."""
         bound: list[tuple[socket.socket, Endpoint]] = []
         admin_bound: list[tuple[socket.socket, Endpoint]] = []
         # Pre-bound listeners (federation: FDs the coordinator passed us)
@@ -436,7 +432,6 @@ class ServerTransport:
         self._loop_thread.start()
         log.info("server listening on %s (event loop, %d workers)",
                  ", ".join(ep.url() for ep in self._bound), self._workers)
-        return self.address
 
     def stop(self) -> None:
         """Drain in-flight requests, close every connection and FD."""
@@ -457,16 +452,6 @@ class ServerTransport:
         self._selector = None
         self._wakeup_recv = None
         self._wakeup_send = None
-
-    @property
-    def address(self) -> tuple[str, int]:
-        """The first bound TCP endpoint as legacy ``(host, port)``; for a
-        UNIX-only server, ``(path, 0)`` (use :attr:`bound_endpoints`)."""
-        endpoints = self._bound or self._endpoints
-        for endpoint in endpoints:
-            if endpoint.is_tcp:
-                return endpoint.host, endpoint.port
-        return endpoints[0].path, 0
 
     def _register_gauges(self) -> None:
         """Event-loop health probes, read lazily at snapshot/scrape time
@@ -857,7 +842,6 @@ class ServerTransport:
         self._wake()
 
     def _drain_wakeup(self) -> None:
-        self._wakeup_armed = False
         try:
             while self._wakeup_recv.recv(4096):
                 pass
@@ -865,6 +849,12 @@ class ServerTransport:
             pass
         except OSError:
             pass
+        # Disarm only after the drain: a byte a worker sends while the
+        # flag is already clear would be swallowed by the recv above with
+        # the flag left set, and every later completion would then wait
+        # out the select timeout.  A completion posted while the flag is
+        # still set is picked up by this iteration's _drain_completions.
+        self._wakeup_armed = False
 
     def _drain_completions(self) -> None:
         """Move completed responses onto their connections, then flush.
@@ -1074,12 +1064,6 @@ class ServerTransport:
             )
         if op == "GET":
             from_index, max_count = decode_get_args(request)
-            if max_count is None:
-                # Legacy unpaginated GET: the whole tail in one frame.
-                next_index, count, chunks, _ = self._server.process_get_wire(
-                    from_index, trace=trace
-                )
-                return get_response_parts(next_index, count, chunks)
             next_index, count, chunks, more = self._server.process_get_wire(
                 from_index, max_count, trace=trace
             )

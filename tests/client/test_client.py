@@ -68,8 +68,9 @@ class TestPollOnce:
         server, endpoint, repo, client = deployment
 
         class HostileEndpoint:
-            def get(self, from_index):
-                return 2, [b"not a signature", shared_factory.make_valid().to_bytes()]
+            def get_page(self, from_index, max_count):
+                return (2, [b"not a signature",
+                            shared_factory.make_valid().to_bytes()], False)
 
         hostile_client = CommunixClient(
             endpoint=HostileEndpoint(), repository=repo,
@@ -83,7 +84,7 @@ class TestPollOnce:
         _, _, repo, client = deployment
 
         class DeadEndpoint:
-            def get(self, from_index):
+            def get_page(self, from_index, max_count):
                 from repro.util.errors import ProtocolError
 
                 raise ProtocolError("gone")
@@ -176,24 +177,6 @@ class TestPaginatedDownload:
         assert report.received == 5
         assert len(repo) == 5
         assert repo.server_index == 5
-
-    def test_legacy_endpoint_without_get_page_still_works(
-            self, deployment, shared_factory):
-        server, endpoint, repo, client = deployment
-        upload(server, shared_factory, 4)
-
-        class LegacyEndpoint:
-            def get(self, from_index):
-                return endpoint.get(from_index)
-
-        legacy_client = CommunixClient(
-            endpoint=LegacyEndpoint(), repository=repo,
-            clock=client.clock, period=86_400.0,
-        )
-        report = legacy_client.poll_once()
-        assert report.received == 4
-        assert report.pages == 1
-        assert len(repo) == 4
 
 
 class TestBackgroundDaemon:

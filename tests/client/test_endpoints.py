@@ -31,7 +31,7 @@ class TestInProcessEndpoint:
         token = ep.issue_token()
         sig = shared_factory.make_valid()
         assert ep.add(sig.to_bytes(), token) is True
-        next_index, blobs = ep.get(0)
+        next_index, blobs, _ = ep.get_page(0, 4096)
         assert next_index == 1
         assert DeadlockSignature.from_bytes(blobs[0]).sig_id == sig.sig_id
 
@@ -44,6 +44,6 @@ class TestInProcessEndpoint:
         ep, _ = endpoint
         for _ in range(3):
             ep.add(shared_factory.make_valid().to_bytes(), ep.issue_token())
-        next_index, blobs = ep.get(1)
+        next_index, blobs, _ = ep.get_page(1, 4096)
         assert next_index == 3
         assert len(blobs) == 2

@@ -115,46 +115,25 @@ class TestPersistence:
         assert reloaded.pending_nesting("appX") == [1, 2]
         assert reloaded.server_index == 5
 
-    def test_legacy_v1_file_loads(self, tmp_path, sigs):
-        """Repositories written by the single-file format keep working."""
+    def test_version_1_single_file_layout_rejected(self, tmp_path, sigs):
+        """The single-file layout (state inline, ``"version": 1``) is no
+        longer read or migrated: loading one names the file and leaves it
+        untouched."""
         import json
 
         path = tmp_path / "repo.json"
-        payload = {
+        text = json.dumps({
             "version": 1,
             "server_index": 9,
             "signatures": [s.encode() for s in sigs[:2]],
             "cursors": {"appX": 2},
             "pending_nesting": {"appX": [0]},
-        }
-        path.write_text(json.dumps(payload))
-        repo = LocalRepository(path=path)
-        assert len(repo) == 2
-        assert repo.server_index == 9
-        assert repo.get_cursor("appX") == 2
-        assert repo.pending_nesting("appX") == [0]
-
-    def test_v1_state_survives_restart_after_cursor_bump(self, tmp_path, sigs):
-        """Regression: a cursor bump on a v1-loaded repository must not be
-        shadowed by the stale inline state on the next load."""
-        import json
-
-        path = tmp_path / "repo.json"
-        payload = {
-            "version": 1,
-            "server_index": 3,
-            "signatures": [s.encode() for s in sigs[:3]],
-            "cursors": {"app": 1},
-            "pending_nesting": {},
-        }
-        path.write_text(json.dumps(payload))
-        repo = LocalRepository(path=path)
-        repo.advance_cursor("app", 3)
-        reloaded = LocalRepository(path=path)
-        assert reloaded.get_cursor("app") == 3
-        assert reloaded.server_index == 3
-        # The file was migrated to the split layout on first load.
-        assert json.loads(path.read_text())["version"] == 2
+        })
+        path.write_text(text)
+        with pytest.raises(HistoryError, match=str(path)):
+            LocalRepository(path=path)
+        assert path.read_text() == text
+        assert not (tmp_path / "repo.json.state").exists()
 
     def test_missing_sidecar_defaults_to_signature_count(self, tmp_path, sigs):
         path = tmp_path / "repo.json"
@@ -172,8 +151,9 @@ class TestPersistence:
         with pytest.raises(HistoryError):
             LocalRepository(path=path)
 
-    def test_wrong_version_raises(self, tmp_path):
+    @pytest.mark.parametrize("text", ['{"version": 42}', "[1, 2]", "{}"])
+    def test_wrong_version_raises(self, tmp_path, text):
         path = tmp_path / "repo.json"
-        path.write_text('{"version": 42}')
+        path.write_text(text)
         with pytest.raises(HistoryError):
             LocalRepository(path=path)

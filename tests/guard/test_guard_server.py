@@ -8,7 +8,6 @@ the connection before parse/crypto — the full tentpole path.
 
 import itertools
 import random
-import socket
 import time
 
 import pytest
@@ -16,6 +15,7 @@ import pytest
 from repro.client.endpoints import SocketEndpoint
 from repro.crypto.userid import UserIdAuthority
 from repro.loadgen.signatures import off_path_flood_blobs
+from repro.net import dial
 from repro.server.protocol import (
     encode_add_request,
     read_frame,
@@ -45,8 +45,9 @@ def make_guarded(clock=None, **config_overrides):
 def guarded():
     server = make_guarded()
     transport = ServerTransport(server)
-    host, port = transport.start()
-    yield server, host, port
+    transport.start()
+    url = transport.bound_endpoints[0].url()
+    yield server, url
     transport.stop()
 
 
@@ -81,8 +82,8 @@ class TestGuardConstruction:
 
 class TestBenignTrafficUnaffected:
     def test_clean_run_sheds_nothing(self, guarded, shared_factory):
-        server, host, port = guarded
-        endpoint = SocketEndpoint((host, port))
+        server, url = guarded
+        endpoint = SocketEndpoint(url)
         try:
             tokens = [endpoint.issue_token() for _ in range(4)]
             accepted = 0
@@ -102,15 +103,15 @@ class TestBenignTrafficUnaffected:
 
 class TestQuotaFloodIsShed:
     def test_flooding_endpoint_hits_the_loop_shed(self, guarded):
-        server, host, port = guarded
-        issuer = SocketEndpoint((host, port))
+        server, url = guarded
+        issuer = SocketEndpoint(url)
         try:
             token = issuer.issue_token()
         finally:
             issuer.close()
         blobs = itertools.cycle(off_path_flood_blobs(400, seed=77))
         verdicts: dict[str, int] = {}
-        with socket.create_connection((host, port), timeout=10.0) as sock:
+        with dial(url, timeout=10.0) as sock:
             deadline = time.monotonic() + 15.0
             for blob in blobs:
                 reply = raw_add(sock, blob, token)
@@ -132,15 +133,15 @@ class TestQuotaFloodIsShed:
         assert snapshot["counters"]["net.guard_loop_shed"] > 0
 
     def test_shed_responses_are_tarpitted(self, guarded):
-        server, host, port = guarded
-        issuer = SocketEndpoint((host, port))
+        server, url = guarded
+        issuer = SocketEndpoint(url)
         try:
             token = issuer.issue_token()
         finally:
             issuer.close()
         blobs = itertools.cycle(off_path_flood_blobs(400, seed=78))
         tarpit = server.guard.config.tarpit_s
-        with socket.create_connection((host, port), timeout=10.0) as sock:
+        with dial(url, timeout=10.0) as sock:
             shed_gaps = []
             deadline = time.monotonic() + 15.0
             for blob in blobs:

@@ -6,50 +6,49 @@ import time
 
 import pytest
 
-from repro.client.endpoints import TcpEndpoint
-from repro.net import parse_endpoint
+from repro.client.endpoints import SocketEndpoint
 
 
 @pytest.fixture
 def live_server_process(tmp_path):
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.server", "--port", "0"],
+        [sys.executable, "-m", "repro.server", "--addr", "tcp://127.0.0.1:0"],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
     )
-    # The server prints "communix-server listening on host:port ..."
+    # The server prints "communix-server listening on tcp://host:port ..."
     # (possibly after log lines on the merged stderr stream).
     for _ in range(20):
         line = proc.stdout.readline()
         if line.startswith("communix-server listening on"):
             break
     assert line.startswith("communix-server listening on"), line
-    address = line.split("listening on", 1)[1].split()[0]
-    endpoint = parse_endpoint(address)
-    yield proc, endpoint.host, endpoint.port
+    url = line.split("listening on", 1)[1].split()[0]
+    assert url.startswith("tcp://127.0.0.1:"), line
+    yield proc, url
     proc.terminate()
     proc.wait(timeout=10)
 
 
 class TestServerCli:
     def test_serves_real_clients(self, live_server_process, shared_factory):
-        _, host, port = live_server_process
-        endpoint = TcpEndpoint(host, port)
+        _, url = live_server_process
+        endpoint = SocketEndpoint(url)
         try:
             token = endpoint.issue_token()
             sig = shared_factory.make_valid()
             assert endpoint.add(sig.to_bytes(), token)
-            next_index, blobs = endpoint.get(0)
-            assert next_index == 1 and len(blobs) == 1
+            next_index, blobs, more = endpoint.get_page(0, 16)
+            assert next_index == 1 and len(blobs) == 1 and not more
         finally:
             endpoint.close()
 
     def test_client_cli_once_mode(self, live_server_process, shared_factory,
                                   tmp_path):
-        _, host, port = live_server_process
+        _, url = live_server_process
         # Seed one signature through a direct endpoint first.
-        endpoint = TcpEndpoint(host, port)
+        endpoint = SocketEndpoint(url)
         try:
             endpoint.add(shared_factory.make_valid().to_bytes(),
                          endpoint.issue_token())
@@ -60,7 +59,7 @@ class TestServerCli:
         completed = subprocess.run(
             [
                 sys.executable, "-m", "repro.client",
-                "--server", f"{host}:{port}",
+                "--server", url,
                 "--repository", str(repo_path),
                 "--once",
             ],
@@ -82,13 +81,33 @@ class TestServerCli:
         )
         assert completed.returncode != 0
 
+    def test_bare_host_port_server_argument_rejected(self):
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.client", "--server",
+             "127.0.0.1:7199", "--once"],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert completed.returncode != 0
+        assert "tcp://" in completed.stderr
+
+    @pytest.mark.parametrize("flag", ["--host", "--port"])
+    def test_removed_host_port_flags_exit_2(self, flag):
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.server", flag, "7199"],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert completed.returncode == 2
+        assert "unrecognized arguments" in completed.stderr
+
     def test_unix_addr_server_and_client_url(self, tmp_path, shared_factory):
         """--addr unix:// end to end: server child binds a UNIX socket,
         the daemon polls it by URL, and the socket file is unlinked on
         clean shutdown."""
         import os
-
-        from repro.client.endpoints import SocketEndpoint
 
         sock_path = tmp_path / "cli-server.sock"
         url = f"unix://{sock_path}"

@@ -73,7 +73,7 @@ class TestCollaborativeImmunity:
         try:
             TwoLockProgram(node_a.runtime, "hash").run_once(collide=True)
             node_a.plugin.flush()
-            _, blobs = server.process_get(0)
+            _, blobs, _ = server.process_get_page(0, 4096)
             from repro.core.signature import DeadlockSignature
 
             sig = DeadlockSignature.from_bytes(blobs[0])

@@ -11,7 +11,7 @@ import pytest
 
 import repro.sim.workloads as workloads_mod
 from repro.client.client import CommunixClient
-from repro.client.endpoints import InProcessEndpoint, TcpEndpoint
+from repro.client.endpoints import InProcessEndpoint, SocketEndpoint
 from repro.core.history import DeadlockHistory
 from repro.core.node import CommunixNode
 from repro.core.pyapp import PythonAppAdapter
@@ -54,7 +54,7 @@ class TestCorruptPersistence:
 class TestDeadServer:
     def test_plugin_survives_dead_server(self):
         """A node whose server is unreachable keeps full local immunity."""
-        endpoint = TcpEndpoint("127.0.0.1", 1)  # connection refused
+        endpoint = SocketEndpoint("tcp://127.0.0.1:1")  # connection refused
         node = CommunixNode("lonely", None, DeadTokenEndpoint(endpoint),
                             dimmunix_config=make_fast_config())
         node.attach_app(
@@ -89,16 +89,16 @@ class DeadTokenEndpoint:
     def add(self, blob, token):
         return self._inner.add(blob, token)
 
-    def get(self, from_index):
-        return self._inner.get(from_index)
+    def get_page(self, from_index, max_count):
+        return self._inner.get_page(from_index, max_count)
 
 
 class TestHostileServer:
     def test_client_survives_garbage_blobs(self, manual_clock, shared_factory):
         class GarbageServer:
-            def get(self, from_index):
+            def get_page(self, from_index, max_count):
                 good = shared_factory.make_valid().to_bytes()
-                return 3, [b"\x00\x01garbage", b"{}", good]
+                return 3, [b"\x00\x01garbage", b"{}", good], False
 
         repo = LocalRepository()
         client = CommunixClient(endpoint=GarbageServer(), repository=repo,
@@ -113,11 +113,11 @@ class TestHostileServer:
             def __init__(self):
                 self.calls = 0
 
-            def get(self, from_index):
+            def get_page(self, from_index, max_count):
                 self.calls += 1
                 if self.calls == 1:
-                    return 5, [shared_factory.make_valid().to_bytes()]
-                return 1, []  # malicious rewind
+                    return 5, [shared_factory.make_valid().to_bytes()], False
+                return 1, [], False  # malicious rewind
 
         repo = LocalRepository()
         client = CommunixClient(endpoint=RewindingServer(), repository=repo,
@@ -139,7 +139,7 @@ class TestHostileClients:
             assert not outcome.accepted
         assert len(server.database) == 0
         # The server is still fully functional afterwards.
-        assert server.process_get(0) == (0, [])
+        assert server.process_get_page(0, 10) == (0, [], False)
 
 
 class TestNodeRestart:

@@ -264,10 +264,11 @@ class TestTcpReusePort:
         data_dir = str(tmp_path / "data")
         fed = _Federation(2, "tcp://127.0.0.1:0", data_dir)
         try:
-            host_port = fed.bound_addr
-            assert not host_port.endswith(":0")  # port 0 was resolved
+            url = fed.bound_addr
+            assert url.startswith("tcp://")
+            assert not url.endswith(":0")  # port 0 was resolved
             blobs = random_signature_blobs(5, seed=91)
-            endpoint = SocketEndpoint(f"tcp://{host_port}")
+            endpoint = SocketEndpoint(url)
             try:
                 token = endpoint.issue_token()
                 for blob in blobs:

@@ -11,7 +11,7 @@ import threading
 import pytest
 
 from repro.client.client import CommunixClient
-from repro.client.endpoints import TcpEndpoint
+from repro.client.endpoints import SocketEndpoint
 from repro.core.repository import LocalRepository
 from repro.crypto.userid import UserIdAuthority
 from repro.server.server import CommunixServer, ServerConfig
@@ -27,8 +27,9 @@ def stack():
         config=ServerConfig(max_get_page=8),
     )
     transport = ServerTransport(server)
-    host, port = transport.start()
-    endpoint = TcpEndpoint(host, port)
+    transport.start()
+    url = transport.bound_endpoints[0].url()
+    endpoint = SocketEndpoint(url)
     yield server, endpoint
     endpoint.close()
     transport.stop()

@@ -54,14 +54,15 @@ def live_server(shared_factory):
         uid += 1
     transport = ServerTransport(server, accept_backlog=1024,
                                 idle_timeout=120.0)
-    host, port = transport.start()
-    yield server, transport, host, port
+    transport.start()
+    url = transport.bound_endpoints[0].url()
+    yield server, transport, url
     transport.stop()
 
 
 class TestDeterministicLoopbackRun:
     def test_mixed_scenario_swarm(self, live_server):
-        server, transport, host, port = live_server
+        server, transport, url = live_server
         cold = [ColdSync(page_size=32) for _ in range(10)]
         steady = [
             SteadyState(random_signature_blobs(3, seed=1000 + i), page_size=64)
@@ -81,7 +82,7 @@ class TestDeterministicLoopbackRun:
         scenarios = cold + steady + churn + forged + adjacent + flood
 
         fds_before = open_fd_count()
-        engine = SwarmEngine(host, port, loops=2, connect_burst=64)
+        engine = SwarmEngine(url, loops=2, connect_burst=64)
         engine.add_clients(scenarios)
         snapshot = engine.run(timeout=120.0)
 
@@ -145,14 +146,14 @@ class TestDeterministicLoopbackRun:
 
 class TestBarrier:
     def test_park_and_release(self, live_server):
-        _, _, host, port = live_server
+        _, _, url = live_server
         n = 20
         scenarios = [
             SteadyState(random_signature_blobs(1, seed=2000 + i),
                         page_size=32, park_after_setup=True)
             for i in range(n)
         ]
-        engine = SwarmEngine(host, port, loops=2)
+        engine = SwarmEngine(url, loops=2)
         engine.add_clients(scenarios)
         engine.start()
         try:
@@ -206,13 +207,13 @@ class TestUnixTransport:
         on release — the federation worker's barrier mode."""
         from repro.loadgen.scenarios import build_mix
 
-        _, _, host, port = live_server
+        _, _, url = live_server
         n = 18
         scenarios = build_mix(
             "cold=1,steady=1,churn=1,forged=1,adjacent=1,flood=1",
             n, seed=9, rounds=2, page_size=32, park=True,
         )
-        engine = SwarmEngine(host, port, loops=2)
+        engine = SwarmEngine(url, loops=2)
         engine.add_clients(scenarios)
         engine.start()
         try:
@@ -233,14 +234,14 @@ class TestUnixTransport:
 
 class TestLifecycle:
     def test_empty_engine_finishes_immediately(self):
-        engine = SwarmEngine("127.0.0.1", 1)
+        engine = SwarmEngine("tcp://127.0.0.1:1")
         snapshot = engine.run(timeout=1.0)
         assert engine.finished_count == 0
         assert snapshot.completed == 0
 
     def test_stop_mid_run_releases_every_fd(self, live_server):
-        _, _, host, port = live_server
-        engine = SwarmEngine(host, port, loops=2)
+        _, _, url = live_server
+        engine = SwarmEngine(url, loops=2)
         engine.add_clients(ColdSync(page_size=8) for _ in range(30))
         engine.start()
         time.sleep(0.05)  # mid-drain
@@ -253,7 +254,7 @@ class TestLifecycle:
         placeholder.bind(("127.0.0.1", 0))
         port = placeholder.getsockname()[1]
         placeholder.close()
-        engine = SwarmEngine("127.0.0.1", port, loops=1,
+        engine = SwarmEngine(f"tcp://127.0.0.1:{port}", loops=1,
                              connect_timeout=5.0)
         scenarios = [ColdSync() for _ in range(5)]
         engine.add_clients(scenarios)
@@ -264,7 +265,7 @@ class TestLifecycle:
         assert engine.open_fds() == []
 
     def test_add_clients_after_start_rejected(self):
-        engine = SwarmEngine("127.0.0.1", 1)
+        engine = SwarmEngine("tcp://127.0.0.1:1")
         engine.start()
         try:
             with pytest.raises(RuntimeError):
@@ -278,8 +279,8 @@ class TestPooledReceive:
     instead of allocating a fresh buffer per recv (PR 6)."""
 
     def test_shard_reads_reuse_pooled_buffers(self, live_server):
-        server, transport, host, port = live_server
-        engine = SwarmEngine(host, port, loops=2)
+        server, transport, url = live_server
+        engine = SwarmEngine(url, loops=2)
         engine.add_clients([ColdSync(page_size=32) for _ in range(8)])
         engine.run(timeout=60.0)
         assert engine.finished_count == 8

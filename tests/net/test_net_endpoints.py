@@ -10,7 +10,6 @@ from repro.net import (
     EndpointError,
     cleanup_listener,
     dial,
-    format_endpoint,
     listen,
     parse_endpoint,
     tcp_endpoint,
@@ -29,8 +28,8 @@ class TestParseFormat:
     ])
     def test_round_trip(self, url):
         endpoint = parse_endpoint(url)
-        assert format_endpoint(endpoint) == url
-        assert parse_endpoint(format_endpoint(endpoint)) == endpoint
+        assert endpoint.url() == url
+        assert parse_endpoint(endpoint.url()) == endpoint
 
     def test_tcp_fields(self):
         endpoint = parse_endpoint("tcp://10.1.2.3:81")
@@ -53,13 +52,16 @@ class TestParseFormat:
         assert endpoint.sockaddr() == "\0communix-test"
         assert endpoint.url() == "unix://@communix-test"
 
-    def test_legacy_host_port(self):
-        endpoint = parse_endpoint("127.0.0.1:7199")
-        assert endpoint == tcp_endpoint("127.0.0.1", 7199)
+    @pytest.mark.parametrize("removed", [
+        "127.0.0.1:7199",
+        ("127.0.0.1", 7199),
+    ])
+    def test_bare_host_port_and_tuple_rejected(self, removed):
+        with pytest.raises(EndpointError, match="tcp://"):
+            parse_endpoint(removed)
 
-    def test_tuple_and_endpoint_pass_through(self):
-        endpoint = parse_endpoint(("localhost", 99))
-        assert endpoint == tcp_endpoint("localhost", 99)
+    def test_endpoint_passes_through(self):
+        endpoint = tcp_endpoint("localhost", 99)
         assert parse_endpoint(endpoint) is endpoint
 
     @pytest.mark.parametrize("bad", [

@@ -1,21 +1,22 @@
-"""StageHistogram: bucket math, snapshots, and wire parity with loadgen."""
+"""The one latency histogram: bucket math, Histogram, StageHistogram."""
 
 from __future__ import annotations
 
+import json
 import math
 import threading
 
 import pytest
+from hypothesis import given, strategies as st
 
-from repro.loadgen.metrics import LatencyHistogram
 from repro.obs.histogram import (
     BUCKET_COUNT,
     GROWTH,
     MIN_LATENCY,
+    Histogram,
     StageHistogram,
     bucket_index,
     bucket_upper_bound,
-    summary_from_wire,
 )
 
 SAMPLES = [0.0000005, 0.000001, 0.00025, 0.0013, 0.0013, 0.047, 0.9, 2.5]
@@ -78,7 +79,7 @@ def test_percentiles_clamped_to_observed_max():
 def test_empty_snapshot_and_summary():
     snap = StageHistogram().snapshot()
     assert snap.count == 0
-    assert snap.min == 0.0
+    assert snap.min == math.inf  # folds with min(); 0.0 on the wire
     assert snap.percentile(99.0) == 0.0
     assert StageHistogram().summary() == {"count": 0}
     assert StageHistogram().to_wire() == {
@@ -86,48 +87,107 @@ def test_empty_snapshot_and_summary():
     }
 
 
-def test_wire_parity_with_loadgen_histogram():
-    """Server-side and client-side histograms share one bucket grid: the
-    same samples produce identical wire buckets, and each side's
-    percentiles agree."""
-    stage = StageHistogram()
-    client = LatencyHistogram()
+def test_stage_snapshot_equals_direct_recording():
+    """The sharded recorder and a plain Histogram fed the same samples
+    are the same value: one grid, one wire form."""
+    stage, direct = StageHistogram(), Histogram()
     for value in SAMPLES:
         stage.record(value)
-        client.record(value)
-    stage_wire = stage.to_wire()
-    client_wire = client.to_wire()
-    assert stage_wire["buckets"] == client_wire["buckets"]
-    assert stage_wire["count"] == client_wire["count"]
-    assert stage_wire["total"] == pytest.approx(client_wire["total"])
-    for pct in (50.0, 95.0, 99.0):
-        assert stage.snapshot().percentile(pct) == client.percentile(pct)
+        direct.record(value)
+    assert stage.to_wire() == direct.to_wire()
+    assert stage.summary() == direct.summary()
 
 
-def test_loadgen_from_wire_decodes_stage_wire():
-    """The client's existing decoder consumes a server stage histogram —
-    the STATS v2 compatibility contract."""
-    stage = StageHistogram()
-    for value in SAMPLES:
-        stage.record(value)
-    decoded = LatencyHistogram.from_wire(stage.to_wire())
-    assert decoded.count == len(SAMPLES)
-    assert decoded.percentile(95) == stage.snapshot().percentile(95.0)
+class TestHistogram:
+    def test_totals_are_exact(self):
+        histogram = Histogram()
+        for i in range(1, 1001):
+            histogram.record(i / 1000.0)
+        assert histogram.count == 1000
+        assert histogram.total == pytest.approx(sum(range(1, 1001)) / 1000.0)
+
+    def test_percentiles_within_bucket_resolution(self):
+        histogram = Histogram()
+        for i in range(1, 1001):
+            histogram.record(i / 1000.0)  # 1ms .. 1s uniform
+        # Geometric buckets grow by 2**0.25 (~19%); the reported value is
+        # the bucket's upper bound, so it is within one growth factor.
+        assert 0.5 <= histogram.percentile(50) <= 0.5 * GROWTH
+        assert 0.95 <= histogram.percentile(95) <= 0.95 * GROWTH
+        assert histogram.percentile(99) <= histogram.max
+        assert histogram.percentile(100) == histogram.max
+
+    def test_summary_is_rounded_milliseconds(self):
+        histogram = Histogram()
+        histogram.record(0.25)
+        summary = histogram.summary()
+        assert summary["count"] == 1
+        assert summary["mean_ms"] == summary["min_ms"] == 250.0
+        assert summary["p50_ms"] == summary["p99_ms"] == summary["max_ms"]
+
+    def test_extremes_clamp_to_terminal_buckets(self):
+        histogram = Histogram()
+        histogram.record(0.0)       # below resolution
+        histogram.record(10_000.0)  # beyond the last bucket
+        assert histogram.count == 2
+        assert histogram.percentile(99) <= histogram.max
+
+    def test_exemplars_ride_the_wire_and_later_merge_wins(self):
+        left, right = Histogram(), Histogram()
+        left.record(0.5, exemplar="aaaa")
+        left.record(0.001, exemplar="early")
+        right.record(0.5, exemplar="bbbb")
+        assert "exemplars" not in Histogram().to_wire()
+        merged = Histogram.from_wire(left.to_wire())
+        merged.merge(Histogram.from_wire(right.to_wire()))
+        assert sorted(merged.exemplars.values()) == ["bbbb", "early"]
+
+    def test_from_wire_drops_buckets_off_the_grid(self):
+        wire = {"buckets": {"3": 2, "9999": 7, "-1": 1}, "count": 2,
+                "total": 0.1, "min": 0.01, "max": 0.09}
+        assert sum(Histogram.from_wire(wire).counts) == 2
 
 
-def test_summary_from_wire_matches_summary():
-    stage = StageHistogram()
-    for value in SAMPLES:
-        stage.record(value)
-    direct = stage.summary()
-    via_wire = summary_from_wire(stage.to_wire())
-    for key, value in direct.items():
-        assert via_wire[key] == pytest.approx(value)
+_latencies = st.floats(min_value=0.0, max_value=500.0, allow_nan=False)
+_workers = st.lists(st.lists(_latencies, max_size=40), min_size=1, max_size=5)
 
 
-def test_summary_from_wire_tolerates_null_min():
-    # loadgen encodes an empty histogram with "min": None.
-    assert summary_from_wire(LatencyHistogram().to_wire()) == {"count": 0}
+def _recorded(samples) -> Histogram:
+    histogram = Histogram()
+    for index, sample in enumerate(samples):
+        histogram.record(sample, f"{index:016x}" if index % 3 == 0 else None)
+    return histogram
+
+
+def _over_the_wire(histogram: Histogram) -> Histogram:
+    return Histogram.from_wire(json.loads(json.dumps(histogram.to_wire())))
+
+
+@given(st.lists(_latencies, max_size=80))
+def test_wire_round_trip_is_identity(samples):
+    histogram = _recorded(samples)
+    clone = _over_the_wire(histogram)
+    for field in Histogram.__slots__:
+        assert getattr(clone, field) == getattr(histogram, field), field
+    assert clone.to_wire() == histogram.to_wire()
+
+
+@given(_workers)
+def test_merged_workers_report_the_pooled_percentiles(workers):
+    """The federation invariant, for the swarm and the server tier alike:
+    merging per-worker histograms (after a wire hop, empty workers
+    included) gives exactly the percentiles of recording every sample
+    into one histogram."""
+    pooled = _recorded([s for samples in workers for s in samples])
+    merged = Histogram()
+    for samples in workers:
+        merged.merge(_over_the_wire(_recorded(samples)))
+    assert merged.counts == pooled.counts
+    assert merged.count == pooled.count
+    assert merged.total == pytest.approx(pooled.total)
+    assert (merged.min, merged.max) == (pooled.min, pooled.max)
+    for pct in (0, 50, 90, 95, 99, 99.9, 100):
+        assert merged.percentile(pct) == pooled.percentile(pct)
 
 
 def test_concurrent_recording_loses_nothing():

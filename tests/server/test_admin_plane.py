@@ -45,9 +45,9 @@ def plane(shared_factory):
     transport = ServerTransport(
         server, admin_endpoints=["tcp://127.0.0.1:0"]
     )
-    host, port = transport.start()
+    transport.start()
     admin = transport.bound_admin_endpoints[0]
-    endpoint = SocketEndpoint((host, port))
+    endpoint = SocketEndpoint(transport.bound_endpoints[0])
     token = endpoint.issue_token()
     assert endpoint.add(shared_factory.make_valid().to_bytes(), token)
     yield server, endpoint, admin.host, admin.port
@@ -98,7 +98,7 @@ class TestAdminEndpoints:
         for _ in range(4):
             token = endpoint.issue_token()
             assert endpoint.add(shared_factory.make_valid().to_bytes(), token)
-        endpoint.get(0)
+        endpoint.get_page(0, 4096)
         _, _, body = http_get(host, port, "/metrics")
         metrics = {}
         for line in body.decode().splitlines():

@@ -82,31 +82,31 @@ class TestPublishListeners:
 
 
 class TestGet:
-    def test_blobs_from_zero(self, shared_factory):
+    def test_page_from_zero(self, shared_factory):
         db = SignatureDatabase()
         store(db, shared_factory, n=4)
-        next_index, blobs = db.blobs_from(0)
+        next_index, blobs, _ = db.blobs_page(0, 100)
         assert next_index == 4
         assert len(blobs) == 4
 
     def test_incremental_get(self, shared_factory):
         db = SignatureDatabase()
         store(db, shared_factory, n=4)
-        next_index, blobs = db.blobs_from(2)
+        next_index, blobs, _ = db.blobs_page(2, 100)
         assert next_index == 4
         assert len(blobs) == 2
 
     def test_get_past_end_empty(self, shared_factory):
         db = SignatureDatabase()
         store(db, shared_factory, n=2)
-        next_index, blobs = db.blobs_from(10)
+        next_index, blobs, _ = db.blobs_page(10, 100)
         assert blobs == []
         assert next_index == 2
 
     def test_negative_start_clamped(self, shared_factory):
         db = SignatureDatabase()
         store(db, shared_factory, n=2)
-        _, blobs = db.blobs_from(-5)
+        _, blobs, _ = db.blobs_page(-5, 100)
         assert len(blobs) == 2
 
     def test_blobs_are_original_bytes(self, shared_factory):
@@ -114,7 +114,7 @@ class TestGet:
         sig = shared_factory.make_valid()
         blob = sig.to_bytes()
         db.append(sig, blob, 1)
-        _, blobs = db.blobs_from(0)
+        _, blobs, _ = db.blobs_page(0, 100)
         assert blobs[0] == blob
 
 
@@ -146,5 +146,5 @@ class TestConcurrency:
             t.join()
         unique = len({s.sig_id for s in sigs})
         assert len(db) == unique
-        next_index, blobs = db.blobs_from(0)
+        next_index, blobs, _ = db.blobs_page(0, 100)
         assert next_index == unique == len(blobs)

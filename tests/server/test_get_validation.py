@@ -2,12 +2,13 @@
 come back as clean protocol error frames, never as worker-pool crashes."""
 
 import random
-import socket as socket_module
 
 import pytest
 
 from repro.crypto.userid import UserIdAuthority
+from repro.net import dial
 from repro.server.protocol import (
+    count_get_page,
     decode_get_args,
     read_frame,
     write_frame,
@@ -20,8 +21,17 @@ from repro.util.errors import ProtocolError
 
 
 class TestDecodeGetArgs:
-    def test_defaults(self):
-        assert decode_get_args({"op": "GET"}) == (0, None)
+    def test_from_index_defaults_to_zero(self):
+        assert decode_get_args({"op": "GET", "max_count": 8}) == (0, 8)
+
+    @pytest.mark.parametrize("request_", [
+        {"op": "GET"},
+        {"op": "GET", "from_index": 3},
+        {"op": "GET", "from_index": 3, "max_count": None},
+    ])
+    def test_missing_max_count_rejected(self, request_):
+        with pytest.raises(ProtocolError, match="requires max_count"):
+            decode_get_args(request_)
 
     def test_valid_pagination(self):
         request = {"op": "GET", "from_index": 7, "max_count": 64}
@@ -60,8 +70,9 @@ def live_server():
         clock=ManualClock(start=1_000_000.0),
     )
     transport = ServerTransport(server)
-    host, port = transport.start()
-    yield server, host, port
+    transport.start()
+    url = transport.bound_endpoints[0].url()
+    yield server, url
     transport.stop()
 
 
@@ -73,8 +84,8 @@ def roundtrip(sock, request: dict) -> dict:
 class TestWireRegression:
     @pytest.mark.parametrize("bad_from", [-1, 1.5, "abc", True])
     def test_bad_from_index_yields_clean_error(self, live_server, bad_from):
-        _, host, port = live_server
-        sock = socket_module.create_connection((host, port), timeout=5.0)
+        _, url = live_server
+        sock = dial(url, timeout=5.0)
         try:
             response = roundtrip(
                 sock, {"op": "GET", "from_index": bad_from, "max_count": 4}
@@ -87,11 +98,26 @@ class TestWireRegression:
         finally:
             sock.close()
 
+    def test_get_without_max_count_yields_clean_error(self, live_server):
+        """The unpaginated GET is gone: it gets an error frame, and the
+        same connection then serves a paginated GET."""
+        _, url = live_server
+        sock = dial(url, timeout=5.0)
+        try:
+            response = roundtrip(sock, {"op": "GET", "from_index": 0})
+            assert response["ok"] is False
+            assert "max_count" in response["error"]
+            write_frame(sock, canonical_json(
+                {"op": "GET", "from_index": 0, "max_count": 4}))
+            assert count_get_page(read_frame(sock)) == (0, 0, False)
+        finally:
+            sock.close()
+
     def test_bad_args_do_not_crash_the_worker_pool(self, live_server):
         """A burst of malformed GETs followed by a valid request on the
         same connection: every response arrives, in order."""
-        _, host, port = live_server
-        sock = socket_module.create_connection((host, port), timeout=5.0)
+        _, url = live_server
+        sock = dial(url, timeout=5.0)
         try:
             bad_requests = [
                 {"op": "GET", "from_index": -7},

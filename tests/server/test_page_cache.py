@@ -74,16 +74,6 @@ class TestPageCache:
         fill(db, shared_factory, 1, uid_start=50)
         assert db.wire_from(0, 4)[3] is True   # invalidated, recomputed
 
-    def test_unpaginated_get_bypasses_the_page_cache(self, shared_factory):
-        db = SignatureDatabase(segment_size=4)
-        fill(db, shared_factory, 6)
-        misses_before = db.page_cache_misses
-        hits_before = db.page_cache_hits
-        db.wire_from(0)
-        db.wire_from(0)
-        assert db.page_cache_misses == misses_before
-        assert db.page_cache_hits == hits_before
-
     def test_capacity_is_bounded_fifo(self, shared_factory):
         db = SignatureDatabase(segment_size=2, page_cache_capacity=3)
         fill(db, shared_factory, 10)

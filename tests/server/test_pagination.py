@@ -1,22 +1,19 @@
-"""Paginated GET: protocol layout, database paging, clamping, back-compat."""
+"""Paginated GET: protocol layout, database paging, clamping."""
 
 import random
-import socket as socket_module
 import threading
 
 import pytest
 
-from repro.client.endpoints import TcpEndpoint
+from repro.client.endpoints import SocketEndpoint
 from repro.core.signature import DeadlockSignature
 from repro.crypto.userid import UserIdAuthority
+from repro.net import dial
 from repro.server.database import SignatureDatabase
 from repro.server.protocol import (
-    count_get_response,
+    count_get_page,
     decode_get_page,
-    decode_get_response,
     encode_get_page_response,
-    encode_get_response,
-    encode_get_response_chunks,
     pack_signature_record,
     read_frame,
     write_frame,
@@ -49,25 +46,12 @@ class TestPageProtocol:
         payload = encode_get_page_response(7, 0, [], more=False)
         assert decode_get_page(payload) == (7, [], False)
 
-    def test_decode_get_page_accepts_legacy_layout(self):
-        payload = encode_get_response(9, [b"a", b"bb"])
-        next_index, blobs, more = decode_get_page(payload)
-        assert (next_index, blobs, more) == (9, [b"a", b"bb"], False)
-
-    def test_count_works_on_both_layouts(self):
-        legacy = encode_get_response(5, [b"x"])
-        paged = encode_get_page_response(
+    def test_count_agrees_with_decode(self):
+        payload = encode_get_page_response(
             5, 1, [pack_signature_record(b"x")], more=True
         )
-        assert count_get_response(legacy) == (5, 1)
-        assert count_get_response(paged) == (5, 1)
-
-    def test_chunked_legacy_encoding_matches_per_blob_encoding(self):
-        blobs = [b"one", b"two" * 50, b""]
-        chunks = [pack_signature_record(b) for b in blobs]
-        assert encode_get_response_chunks(3, len(blobs), chunks) == (
-            encode_get_response(3, blobs)
-        )
+        assert count_get_page(payload) == (5, 1, True)
+        assert decode_get_page(payload) == (5, [b"x"], True)
 
     def test_truncated_page_detected(self):
         payload = encode_get_page_response(
@@ -113,8 +97,8 @@ class TestDatabasePaging:
     def test_sealed_segment_wire_cache_is_reused(self, shared_factory):
         db = SignatureDatabase(segment_size=2)
         fill(db, shared_factory, 5)
-        first = db.wire_from(0, None)[2]
-        second = db.wire_from(0, None)[2]
+        first = db.wire_from(0, 100)[2]
+        second = db.wire_from(0, 101)[2]  # a different page-cache key
         # Sealed segments hand back the identical cached bytes object.
         assert first[0] is second[0]
         assert first[1] is second[1]
@@ -122,9 +106,9 @@ class TestDatabasePaging:
     def test_append_invalidates_only_tail(self, shared_factory):
         db = SignatureDatabase(segment_size=2)
         fill(db, shared_factory, 5)
-        sealed_before = db.wire_from(0, None)[2][0]
+        sealed_before = db.wire_from(0, 100)[2][0]
         fill(db, shared_factory, 1)
-        chunks_after = db.wire_from(0, None)[2]
+        chunks_after = db.wire_from(0, 100)[2]
         assert chunks_after[0] is sealed_before
 
     def test_empty_page_past_end(self, shared_factory):
@@ -142,8 +126,9 @@ def live_server():
         config=ServerConfig(max_get_page=4),
     )
     transport = ServerTransport(server)
-    host, port = transport.start()
-    yield server, host, port
+    transport.start()
+    url = transport.bound_endpoints[0].url()
+    yield server, url
     transport.stop()
 
 
@@ -160,28 +145,22 @@ def upload(server, factory, n):
 
 class TestServerPaging:
     def test_oversized_max_count_clamped(self, live_server, shared_factory):
-        server, _, _ = live_server
+        server, _ = live_server
         upload(server, shared_factory, 10)
         next_index, blobs, more = server.process_get_page(0, 10_000_000)
         assert len(blobs) == 4  # ServerConfig.max_get_page
         assert (next_index, more) == (4, True)
 
     def test_negative_max_count_empty_page(self, live_server, shared_factory):
-        server, _, _ = live_server
+        server, _ = live_server
         upload(server, shared_factory, 2)
         next_index, blobs, more = server.process_get_page(0, -3)
         assert (next_index, blobs, more) == (0, [], True)
 
-    def test_process_get_accepts_max_count(self, live_server, shared_factory):
-        server, _, _ = live_server
-        upload(server, shared_factory, 6)
-        next_index, blobs = server.process_get(1, 2)
-        assert (next_index, len(blobs)) == (3, 2)
-
     def test_tcp_pagination_loops_until_drained(self, live_server, shared_factory):
-        server, host, port = live_server
+        server, url = live_server
         sigs = upload(server, shared_factory, 11)
-        endpoint = TcpEndpoint(host, port)
+        endpoint = SocketEndpoint(url)
         try:
             got, cursor, more, pages = [], 0, True, 0
             while more:
@@ -195,33 +174,10 @@ class TestServerPaging:
         finally:
             endpoint.close()
 
-    def test_unpaginated_get_still_serves_everything(self, live_server,
-                                                     shared_factory):
-        """Back-compat: an old client's GET (no max_count) is answered in
-        the legacy layout with the full tail, ignoring the page cap."""
-        server, host, port = live_server
-        sigs = upload(server, shared_factory, 9)
-        endpoint = TcpEndpoint(host, port)
-        try:
-            next_index, blobs = endpoint.get(0)
-            assert next_index == 9
-            assert len(blobs) == 9
-        finally:
-            endpoint.close()
-        # And on the wire it really is the legacy SIGS layout.
-        sock = socket_module.create_connection((host, port), timeout=5.0)
-        try:
-            write_frame(sock, canonical_json({"op": "GET", "from_index": 0}))
-            payload = read_frame(sock)
-            assert payload[:4] == b"SIGS"
-            decode_get_response(payload)  # strict legacy decoder accepts it
-        finally:
-            sock.close()
-
     def test_paged_wire_layout_is_sig2(self, live_server, shared_factory):
-        server, host, port = live_server
+        server, url = live_server
         upload(server, shared_factory, 6)
-        sock = socket_module.create_connection((host, port), timeout=5.0)
+        sock = dial(url, timeout=5.0)
         try:
             write_frame(
                 sock,
@@ -235,8 +191,8 @@ class TestServerPaging:
             sock.close()
 
     def test_bad_max_count_rejected(self, live_server):
-        _, host, port = live_server
-        sock = socket_module.create_connection((host, port), timeout=5.0)
+        _, url = live_server
+        sock = dial(url, timeout=5.0)
         try:
             write_frame(
                 sock,
@@ -258,7 +214,7 @@ class TestPagingUnderConcurrency:
             self, live_server, shared_factory):
         """A reader paging through the database while writers append must
         see every index exactly once up to wherever it stops."""
-        server, _, _ = live_server
+        server, _ = live_server
         stop_adding = threading.Event()
 
         def writer():

@@ -60,7 +60,7 @@ class TestDatabaseWriteThrough:
         assert db2.replayed_count == 10
         assert db2.segment_count == db.segment_count
         # Bytes served are identical, chunk for chunk.
-        assert db2.wire_from(0) == db.wire_from(0)
+        assert db2.wire_from(0, 100) == db.wire_from(0, 100)
         assert db2.blobs_page(3, 4) == db.blobs_page(3, 4)
         # Dedup map and adjacency index rebuilt.
         assert db2.contains(signatures[0].sig_id)
@@ -124,7 +124,7 @@ class TestServerRestart:
         server.close()
 
         restarted = CommunixServer(config=config)
-        next_index, blobs = restarted.process_get(0)
+        next_index, blobs, _ = restarted.process_get_page(0, 4096)
         assert next_index == 12
         assert blobs == [sig.to_bytes() for sig in signatures[:12]]
         restarted.close()

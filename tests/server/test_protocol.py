@@ -7,13 +7,14 @@ import threading
 import pytest
 
 from repro.server.protocol import (
-    count_get_response,
+    count_get_page,
     decode_add_signature,
-    decode_get_response,
+    decode_get_page,
     decode_request,
     encode_add_request,
-    encode_get_response,
+    encode_get_page_response,
     encode_request,
+    pack_signature_record,
     read_frame,
     write_frame,
 )
@@ -131,35 +132,47 @@ class TestRequests:
             decode_add_signature({"op": "ADD", "signature": "!!!not-base64!!!"})
 
 
+def page(next_index, blobs, more=False):
+    return encode_get_page_response(
+        next_index, len(blobs), [pack_signature_record(b) for b in blobs], more
+    )
+
+
 class TestGetResponse:
     def test_round_trip(self):
         blobs = [b"alpha", b"", b"gamma" * 100]
-        payload = encode_get_response(42, blobs)
-        next_index, decoded = decode_get_response(payload)
+        next_index, decoded, more = decode_get_page(page(42, blobs, more=True))
         assert next_index == 42
         assert decoded == blobs
+        assert more is True
 
     def test_count_without_materializing(self):
-        payload = encode_get_response(7, [b"a", b"b"])
-        assert count_get_response(payload) == (7, 2)
+        assert count_get_page(page(7, [b"a", b"b"])) == (7, 2, False)
 
     def test_empty_response(self):
-        payload = encode_get_response(0, [])
-        assert decode_get_response(payload) == (0, [])
+        assert decode_get_page(page(0, [])) == (0, [], False)
 
     @pytest.mark.parametrize(
         "mutation",
         ["magic", "truncate_length", "truncate_body", "trailing"],
     )
     def test_corruption_detected(self, mutation):
-        payload = bytearray(encode_get_response(3, [b"abc", b"defg"]))
+        payload = bytearray(page(3, [b"abc", b"defg"]))
         if mutation == "magic":
             payload[0] ^= 0xFF
         elif mutation == "truncate_length":
-            payload = payload[:14]
+            payload = payload[:15]
         elif mutation == "truncate_body":
             payload = payload[:-2]
         elif mutation == "trailing":
             payload += b"junk"
         with pytest.raises(ProtocolError):
-            decode_get_response(bytes(payload))
+            decode_get_page(bytes(payload))
+
+    @pytest.mark.parametrize("decode", [decode_get_page, count_get_page])
+    def test_unpaginated_sigs_layout_rejected(self, decode):
+        """The pre-pagination response layout is no longer decoded."""
+        payload = (b"SIGS" + struct.pack(">II", 1, 1)
+                   + pack_signature_record(b"abc"))
+        with pytest.raises(ProtocolError, match="SIG2"):
+            decode(payload)

@@ -130,24 +130,24 @@ class TestGet:
         for sig in sigs:
             token = server.issue_user_token()
             assert server.process_add(sig.to_bytes(), token).accepted
-        next_index, blobs = server.process_get(0)
+        next_index, blobs, _ = server.process_get_page(0, 4096)
         assert next_index == 3
         assert [DeadlockSignature.from_bytes(b).sig_id for b in blobs] == [
             s.sig_id for s in sigs
         ]
-        next_index, blobs = server.process_get(2)
+        next_index, blobs, _ = server.process_get_page(2, 4096)
         assert len(blobs) == 1
 
     def test_get_empty_database(self, server):
-        next_index, blobs = server.process_get(0)
+        next_index, blobs, _ = server.process_get_page(0, 4096)
         assert next_index == 0
         assert blobs == []
 
     def test_stats_track_requests(self, server, shared_factory):
         token = server.issue_user_token()
         server.process_add(shared_factory.make_valid().to_bytes(), token)
-        server.process_get(0)
-        server.process_get(0)
+        server.process_get_page(0, 4096)
+        server.process_get_page(0, 4096)
         assert server.stats.adds_accepted == 1
         assert server.stats.gets_served == 2
         assert server.stats.signatures_served == 2

@@ -6,7 +6,7 @@ import pytest
 
 from repro.client.endpoints import SocketEndpoint
 from repro.crypto.userid import UserIdAuthority
-from repro.loadgen.metrics import LatencyHistogram
+from repro.obs import Histogram
 from repro.server.protocol import (
     decode_stats_version,
     encode_request,
@@ -34,7 +34,7 @@ def server(shared_factory):
         server.process_add(shared_factory.make_valid().to_bytes(),
                            server.issue_user_token())
     server.process_add(b"garbage", token)  # one malformed rejection
-    server.process_get_wire(0)  # the transport's GET path (timed)
+    server.process_get_wire(0, 100)  # the transport's GET path (timed)
     return server
 
 
@@ -63,7 +63,7 @@ class TestStatsPayload:
         # 3 accepted ADDs went through validation; the malformed one was
         # rejected at parse, before the validator ran.
         assert validate["count"] == 3
-        decoded = LatencyHistogram.from_wire(validate)
+        decoded = Histogram.from_wire(validate)
         assert decoded.count == 3
         assert decoded.percentile(99) > 0.0
         assert histograms["stage.db_append"]["count"] == 3
@@ -120,8 +120,9 @@ class TestStatsOverTheWire:
             clock=ManualClock(start=1_000_000.0),
         )
         transport = ServerTransport(server)
-        host, port = transport.start()
-        endpoint = SocketEndpoint((host, port))
+        transport.start()
+        url = transport.bound_endpoints[0].url()
+        endpoint = SocketEndpoint(url)
         yield server, endpoint
         endpoint.close()
         transport.stop()

@@ -109,8 +109,9 @@ class TestSlowRequestLog:
             clock=ManualClock(start=1_000_000.0),
         )
         transport = ServerTransport(server)
-        host, port = transport.start()
-        endpoint = SocketEndpoint((host, port))
+        transport.start()
+        url = transport.bound_endpoints[0].url()
+        endpoint = SocketEndpoint(url)
         yield server, endpoint
         endpoint.close()
         transport.stop()
@@ -148,8 +149,9 @@ class TestSlowRequestLog:
             clock=ManualClock(start=1_000_000.0),
         )
         transport = ServerTransport(server)
-        host, port = transport.start()
-        endpoint = SocketEndpoint((host, port))
+        transport.start()
+        url = transport.bound_endpoints[0].url()
+        endpoint = SocketEndpoint(url)
         try:
             with caplog.at_level(logging.WARNING,
                                  logger="repro.server.transport"):
@@ -171,8 +173,9 @@ class TestLoopProbes:
             clock=ManualClock(start=1_000_000.0),
         )
         transport = ServerTransport(server)
-        host, port = transport.start()
-        endpoint = SocketEndpoint((host, port))
+        transport.start()
+        url = transport.bound_endpoints[0].url()
+        endpoint = SocketEndpoint(url)
         try:
             for _ in range(3):
                 token = endpoint.issue_token()
@@ -204,8 +207,9 @@ class TestLoopProbes:
             clock=ManualClock(start=1_000_000.0),
         )
         transport = ServerTransport(server)
-        host, port = transport.start()
-        endpoint = SocketEndpoint((host, port))
+        transport.start()
+        url = transport.bound_endpoints[0].url()
+        endpoint = SocketEndpoint(url)
         try:
             endpoint.stats()
             # The health tick fires every 0.25 s of loop wall time;
@@ -232,8 +236,9 @@ class TestLoopProbes:
             clock=ManualClock(start=1_000_000.0),
         )
         transport = ServerTransport(server)
-        host, port = transport.start()
-        endpoint = SocketEndpoint((host, port))
+        transport.start()
+        url = transport.bound_endpoints[0].url()
+        endpoint = SocketEndpoint(url)
         try:
             token = endpoint.issue_token()
             assert endpoint.add(shared_factory.make_valid().to_bytes(), token)

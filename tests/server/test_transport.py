@@ -8,10 +8,10 @@ import time
 
 import pytest
 
-from repro.client.endpoints import SocketEndpoint, TcpEndpoint
+from repro.client.endpoints import SocketEndpoint
 from repro.core.signature import DeadlockSignature
 from repro.crypto.userid import UserIdAuthority
-from repro.net import unix_endpoint
+from repro.net import dial, parse_endpoint, unix_endpoint
 from repro.server.server import CommunixServer
 from repro.server.transport import ServerTransport
 from repro.util.clock import ManualClock
@@ -25,28 +25,29 @@ def live_server():
         clock=ManualClock(start=1_000_000.0),
     )
     transport = ServerTransport(server)
-    host, port = transport.start()
-    yield server, host, port
+    transport.start()
+    url = transport.bound_endpoints[0].url()
+    yield server, url
     transport.stop()
 
 
 class TestEndToEnd:
     def test_issue_add_get_cycle(self, live_server, shared_factory):
-        server, host, port = live_server
-        endpoint = TcpEndpoint(host, port)
+        server, url = live_server
+        endpoint = SocketEndpoint(url)
         try:
             token = endpoint.issue_token()
             sig = shared_factory.make_valid()
             assert endpoint.add(sig.to_bytes(), token)
-            next_index, blobs = endpoint.get(0)
+            next_index, blobs, _ = endpoint.get_page(0, 4096)
             assert next_index == 1
             assert DeadlockSignature.from_bytes(blobs[0]).sig_id == sig.sig_id
         finally:
             endpoint.close()
 
     def test_rejection_propagates(self, live_server, shared_factory):
-        server, host, port = live_server
-        endpoint = TcpEndpoint(host, port)
+        server, url = live_server
+        endpoint = SocketEndpoint(url)
         try:
             sig = shared_factory.make_valid()
             assert endpoint.add(sig.to_bytes(), "bogus-token") is False
@@ -54,32 +55,32 @@ class TestEndToEnd:
             endpoint.close()
 
     def test_persistent_connection_many_requests(self, live_server, shared_factory):
-        server, host, port = live_server
-        endpoint = TcpEndpoint(host, port)
+        server, url = live_server
+        endpoint = SocketEndpoint(url)
         try:
             # Fresh token per add: adjacency is per-user and must not bite.
             for _ in range(5):
                 token = endpoint.issue_token()
                 assert endpoint.add(shared_factory.make_valid().to_bytes(), token)
-            next_index, blobs = endpoint.get(0)
+            next_index, blobs, _ = endpoint.get_page(0, 4096)
             assert next_index == 5
             assert len(blobs) == 5
         finally:
             endpoint.close()
 
     def test_concurrent_clients(self, live_server, shared_factory):
-        server, host, port = live_server
+        server, url = live_server
         sigs = [shared_factory.make_valid() for _ in range(12)]
         failures = []
 
         def client(batch):
-            endpoint = TcpEndpoint(host, port)
+            endpoint = SocketEndpoint(url)
             try:
                 for sig in batch:
                     token = endpoint.issue_token()
                     if not endpoint.add(sig.to_bytes(), token):
                         failures.append(sig.sig_id)
-                endpoint.get(0)
+                endpoint.get_page(0, 4096)
             except Exception as exc:  # pragma: no cover
                 failures.append(exc)
             finally:
@@ -97,13 +98,11 @@ class TestEndToEnd:
         assert len(server.database) == unique
 
     def test_unknown_op_returns_error(self, live_server):
-        import socket as socket_module
-
         from repro.server.protocol import read_frame, write_frame
         from repro.util.encoding import canonical_json, from_canonical_json
 
-        _, host, port = live_server
-        sock = socket_module.create_connection((host, port), timeout=2.0)
+        _, url = live_server
+        sock = dial(url, timeout=2.0)
         try:
             write_frame(sock, canonical_json({"op": "EXPLODE"}))
             response = from_canonical_json(read_frame(sock))
@@ -113,10 +112,8 @@ class TestEndToEnd:
             sock.close()
 
     def test_malformed_frame_closes_cleanly(self, live_server):
-        import socket as socket_module
-
-        _, host, port = live_server
-        sock = socket_module.create_connection((host, port), timeout=2.0)
+        _, url = live_server
+        sock = dial(url, timeout=2.0)
         try:
             sock.sendall(b"\xff\xff\xff\xff")  # absurd length header
             sock.settimeout(2.0)
@@ -126,17 +123,15 @@ class TestEndToEnd:
             sock.close()
 
     def test_stats_op(self, live_server, shared_factory):
-        server, host, port = live_server
-        endpoint = TcpEndpoint(host, port)
+        server, url = live_server
+        endpoint = SocketEndpoint(url)
         try:
             token = endpoint.issue_token()
             endpoint.add(shared_factory.make_valid().to_bytes(), token)
-            import socket as socket_module
-
             from repro.server.protocol import read_frame, write_frame
             from repro.util.encoding import canonical_json, from_canonical_json
 
-            sock = socket_module.create_connection((host, port), timeout=2.0)
+            sock = dial(url, timeout=2.0)
             try:
                 write_frame(sock, canonical_json({"op": "STATS"}))
                 stats = from_canonical_json(read_frame(sock))
@@ -183,14 +178,15 @@ class TestMultiEndpoint:
         transport = ServerTransport(
             server, endpoints=["tcp://127.0.0.1:0", f"unix://{path}"]
         )
-        host, port = transport.start()
+        transport.start()
+        url = transport.bound_endpoints[0].url()
         assert len(transport.bound_endpoints) == 2
-        tcp = SocketEndpoint(f"tcp://{host}:{port}")
+        tcp = SocketEndpoint(url)
         unix = SocketEndpoint(f"unix://{path}")
         try:
             sig = shared_factory.make_valid()
             assert tcp.add(sig.to_bytes(), tcp.issue_token())
-            next_index, blobs = unix.get(0)
+            next_index, blobs, _ = unix.get_page(0, 4096)
             assert next_index == 1
             assert DeadlockSignature.from_bytes(blobs[0]).sig_id == sig.sig_id
         finally:
@@ -225,9 +221,9 @@ class TestMultiEndpoint:
 
 class TestEndpointRobustness:
     def test_endpoint_raises_when_server_gone(self, shared_factory):
-        endpoint = TcpEndpoint("127.0.0.1", 1)  # nothing listens there
+        endpoint = SocketEndpoint("tcp://127.0.0.1:1")  # nothing listens there
         with pytest.raises(ProtocolError):
-            endpoint.get(0)
+            endpoint.get_page(0, 4096)
 
 
 def _open_fd_count() -> int | None:
@@ -249,8 +245,9 @@ class TestShutdown:
         )
         before = _open_fd_count()
         transport = ServerTransport(server)
-        host, port = transport.start()
-        endpoints = [TcpEndpoint(host, port) for _ in range(20)]
+        transport.start()
+        url = transport.bound_endpoints[0].url()
+        endpoints = [SocketEndpoint(url) for _ in range(20)]
         try:
             for endpoint in endpoints:
                 endpoint.issue_token()  # forces the connection open
@@ -264,7 +261,7 @@ class TestShutdown:
             assert transport.open_fds() == []
             # Server side hung up: clients observe EOF, not a hang.
             with pytest.raises(ProtocolError):
-                endpoints[0].get(0)
+                endpoints[0].get_page(0, 4096)
         finally:
             for endpoint in endpoints:
                 endpoint.close()
@@ -273,8 +270,8 @@ class TestShutdown:
             assert after <= before
 
     def test_stop_drains_in_flight_response(self, live_server, shared_factory):
-        server, host, port = live_server
-        endpoint = TcpEndpoint(host, port)
+        server, url = live_server
+        endpoint = SocketEndpoint(url)
         try:
             token = endpoint.issue_token()
             assert endpoint.add(shared_factory.make_valid().to_bytes(), token)
@@ -301,8 +298,9 @@ class TestShutdown:
         transport = ServerTransport(server)
         transport.start()
         transport.stop()
-        host, port = transport.start()
-        endpoint = TcpEndpoint(host, port)
+        transport.start()
+        url = transport.bound_endpoints[0].url()
+        endpoint = SocketEndpoint(url)
         try:
             token = endpoint.issue_token()
             assert endpoint.add(shared_factory.make_valid().to_bytes(), token)
@@ -321,16 +319,17 @@ class TestEventLoopConcurrency:
             clock=ManualClock(start=1_000_000.0),
         )
         transport = ServerTransport(server, workers=4)
-        host, port = transport.start()
+        transport.start()
+        url = transport.bound_endpoints[0].url()
         threads_before = threading.active_count()
-        endpoints = [TcpEndpoint(host, port) for _ in range(128)]
+        endpoints = [SocketEndpoint(url) for _ in range(128)]
         try:
             for endpoint in endpoints:
                 endpoint.issue_token()
             assert transport.connection_count == 128
             # Every connection stays open; requests still get answered.
             for endpoint in endpoints[::8]:
-                next_index, blobs = endpoint.get(0)
+                next_index, blobs, _ = endpoint.get_page(0, 4096)
                 assert next_index == len(server.database)
             # Thread growth is the worker pool (<=4), not one per conn.
             assert threading.active_count() - threads_before <= 8
@@ -345,9 +344,10 @@ class TestEventLoopConcurrency:
             clock=ManualClock(start=1_000_000.0),
         )
         transport = ServerTransport(server, idle_timeout=0.3)
-        host, port = transport.start()
+        transport.start()
+        url = transport.bound_endpoints[0].url()
         try:
-            sock = socket.create_connection((host, port), timeout=2.0)
+            sock = dial(url, timeout=2.0)
             try:
                 deadline = time.monotonic() + 1.0
                 while (transport.connection_count == 0
@@ -374,13 +374,14 @@ class TestEventLoopConcurrency:
             sig = shared_factory.make_valid()
             server.process_add(sig.to_bytes(), server.issue_user_token())
         transport = ServerTransport(server, idle_timeout=0.5)
-        host, port = transport.start()
+        transport.start()
+        url = transport.bound_endpoints[0].url()
         try:
             sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             # Tiny receive buffer: the response cannot fit in kernel
             # buffers, so the server's send stalls while we don't read.
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
-            sock.connect((host, port))
+            sock.connect(parse_endpoint(url).sockaddr())
             from repro.server.protocol import write_frame
             from repro.util.encoding import canonical_json
 
@@ -400,8 +401,8 @@ class TestEventLoopConcurrency:
         from repro.server.protocol import read_frame, write_frame
         from repro.util.encoding import canonical_json, from_canonical_json
 
-        _, host, port = live_server
-        sock = socket.create_connection((host, port), timeout=5.0)
+        _, url = live_server
+        sock = dial(url, timeout=5.0)
         try:
             for _ in range(5):
                 write_frame(sock, canonical_json({"op": "ISSUE_ID"}))
@@ -423,8 +424,9 @@ class TestPooledReceive:
     def test_many_requests_reuse_one_buffer(self, shared_factory):
         server = _make_server(31)
         transport = ServerTransport(server)
-        host, port = transport.start()
-        endpoint = TcpEndpoint(host, port)
+        transport.start()
+        url = transport.bound_endpoints[0].url()
+        endpoint = SocketEndpoint(url)
         try:
             for _ in range(40):
                 token = endpoint.issue_token()
@@ -439,3 +441,30 @@ class TestPooledReceive:
         finally:
             endpoint.close()
             transport.stop()
+
+
+class TestWakeup:
+    def test_wake_during_drain_is_not_lost(self):
+        """Regression for the lost wakeup: a worker's ``_wake()`` landing
+        while the loop is inside ``_drain_wakeup()`` has its byte swallowed
+        by the drain, so the drain must leave the flag *disarmed* — else
+        every later completion skips its send and waits out the 0.2 s
+        select timeout."""
+        transport = ServerTransport(_make_server(41))  # never started
+        sent = []
+
+        class SendEnd:
+            def send(self, data):
+                sent.append(data)
+
+        class RecvEnd:
+            def recv(self, size):
+                transport._wake()  # races the drain; its byte is consumed
+                raise BlockingIOError
+
+        transport._wakeup_send = SendEnd()
+        transport._wakeup_recv = RecvEnd()
+        transport._drain_wakeup()
+        assert len(sent) == 1
+        transport._wake()
+        assert len(sent) == 2  # the next completion still wakes the loop

@@ -10,7 +10,6 @@ record).
 
 import os
 import threading
-import time
 
 import pytest
 
@@ -68,38 +67,57 @@ class TestSplitApi:
 
 class TestConcurrentBatching:
     def test_concurrent_appends_share_fsyncs(self, tmp_path, monkeypatch):
+        """One leader is held inside its fsync until every other appender
+        has staged its record; the next leader's single fsync must then
+        cover all of them.  No timing: the batch is exactly [1, k-1]."""
         log = SegmentedLog(str(tmp_path), fsync="always")
+        followers = 7
+        total = followers + 1
+        leader_in_fsync = threading.Event()
+        staged = threading.Semaphore(0)
+        records_at_fsync = []
         real_fsync = os.fsync
+        write_phase = log._write_phase
 
-        def slow_fsync(fd):
-            # A visible device latency so the batch window is real: while
-            # the leader waits here, the other threads buffer records that
-            # the *next* leader covers in one flush.
-            time.sleep(0.001)
+        def counting_write_phase(blob, sender_uid):
+            result = write_phase(blob, sender_uid)
+            staged.release()
+            return result
+
+        def gated_fsync(fd):
+            records_at_fsync.append(log.record_count)
+            if len(records_at_fsync) == 1:
+                leader_in_fsync.set()
+                for _ in range(total):  # the leader's own stage + followers'
+                    assert staged.acquire(timeout=30.0)
             real_fsync(fd)
 
-        monkeypatch.setattr(os, "fsync", slow_fsync)
-        threads, errors = 8, []
-        per_thread = 25
+        monkeypatch.setattr(log, "_write_phase", counting_write_phase)
+        monkeypatch.setattr(os, "fsync", gated_fsync)
+        errors = []
 
         def run(uid):
             try:
-                for i in range(per_thread):
-                    log.append(f"t{uid}-{i}".encode(), uid)
+                log.append(f"t{uid}".encode(), uid)
             except Exception as exc:  # pragma: no cover - failure detail
                 errors.append(exc)
 
         workers = [threading.Thread(target=run, args=(t,))
-                   for t in range(threads)]
-        for worker in workers:
+                   for t in range(total)]
+        workers[0].start()
+        assert leader_in_fsync.wait(timeout=30.0)
+        for worker in workers[1:]:
             worker.start()
         for worker in workers:
-            worker.join()
+            worker.join(timeout=30.0)
+            assert not worker.is_alive()
         assert not errors
-        total = threads * per_thread
         assert log.record_count == total
         assert log.durable_count == total  # every append returned durable
-        assert 0 < log.fsyncs_issued <= total // 2  # batching happened
+        # The held leader covered only itself; one more fsync covered the
+        # other seven, and nobody else touched the disk.
+        assert records_at_fsync == [1, total]
+        assert log.fsyncs_issued == 2
         log.close()
         monkeypatch.undo()
         reopened = SegmentedLog(str(tmp_path), fsync="never")
