@@ -40,7 +40,6 @@ from repro.server.server import CommunixServer, ServerConfig
 from repro.server.transport import ServerTransport
 from repro.util.clock import ManualClock
 from repro.util.encoding import from_canonical_json
-from benchmarks.swarm_common import wait_for_barrier
 
 SMOKE = os.environ.get("COMMUNIX_BENCH_SMOKE") == "1"
 SWEEP = (5, 15) if SMOKE else (10, 25, 50, 100, 200)
@@ -122,7 +121,7 @@ def run_point(n_clients: int) -> float:
     engine.add_clients(scenarios)
     engine.start()
     try:
-        wait_for_barrier(engine, n_clients, timeout=120.0)
+        engine.wait_barrier(n_clients, timeout=120.0)
         released_at = engine.release()
         finished = engine.wait(timeout=600.0)
         completed_at = engine.completed_at

@@ -4,11 +4,13 @@ Every benchmark regenerates one table or figure from the paper's §IV.  Each
 writes a paper-style text artifact into ``benchmarks/results/`` (so the
 series survive the run) *and* registers with pytest-benchmark for timing
 stats.  Absolute numbers are not expected to match the paper (pure-Python
-substrate, scaled thread counts); EXPERIMENTS.md records the shape checks.
+substrate, scaled thread counts); each bench's module docstring states the
+paper's shape and the scaling substitution, and its assertions check the
+shape.  Performance claims about the server are judged by ``bench/``, not
+here.
 
-Smoke runs (``COMMUNIX_BENCH_SMOKE=1``) write ``*.smoke`` artifacts —
-``BENCH_foo.smoke.json``, ``results/foo.smoke.txt`` — so a CI-sized run
-never clobbers the committed full-run series.
+Smoke runs (``COMMUNIX_BENCH_SMOKE=1``) write ``results/foo.smoke.txt``
+artifacts, so a CI-sized run never clobbers the committed full-run series.
 """
 
 from __future__ import annotations
@@ -35,13 +37,6 @@ def artifact_name(name: str) -> str:
         return name
     stem, dot, ext = name.rpartition(".")
     return f"{stem}.smoke.{ext}" if dot else f"{name}.smoke"
-
-
-def bench_json_path(stem: str) -> Path:
-    """Repo-root path for a ``BENCH_*.json`` artifact; smoke runs get
-    ``BENCH_*.smoke.json`` so they never overwrite the full-run series."""
-    suffix = ".smoke.json" if SMOKE else ".json"
-    return REPO_ROOT / f"{stem}{suffix}"
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ The from-scratch FIPS-197 implementation in :mod:`repro.crypto.aes` is the
 validation burst, which is exactly the Fig. 2 throughput wall).  When the
 ``cryptography`` package is importable, the ``fast`` backend runs the same
 AES-CBC/ECB through OpenSSL instead, at a 100x+ speedup
-(``BENCH_hotpath.json`` has the measured ratio); padding, token framing,
+(``bench/``'s ``crypto.token_decode_us`` is its cost); padding, token framing,
 and MAC handling stay in shared Python code so both backends are
 byte-identical — a property test in ``tests/crypto/test_backends.py``
 pins that over random keys and payloads.

@@ -18,12 +18,7 @@ Command line: ``python -m repro.loadgen --help``.
 """
 
 from repro.loadgen.engine import SwarmEngine
-from repro.loadgen.federation import FederationReport, federated_run
-from repro.loadgen.metrics import (
-    Metrics,
-    MetricsSnapshot,
-    merge_snapshots,
-)
+from repro.loadgen.metrics import Metrics, MetricsSnapshot
 from repro.loadgen.scenarios import (
     AdjacentSpam,
     Churn,
@@ -31,7 +26,6 @@ from repro.loadgen.scenarios import (
     ForgedTokens,
     Park,
     QuotaFlood,
-    RampingFlood,
     Reconnect,
     SCENARIO_NAMES,
     Scenario,
@@ -47,13 +41,11 @@ __all__ = [
     "AdjacentSpam",
     "Churn",
     "ColdSync",
-    "FederationReport",
     "ForgedTokens",
     "Metrics",
     "MetricsSnapshot",
     "Park",
     "QuotaFlood",
-    "RampingFlood",
     "Reconnect",
     "SCENARIO_NAMES",
     "Scenario",
@@ -62,8 +54,6 @@ __all__ = [
     "Stop",
     "SwarmEngine",
     "build_mix",
-    "federated_run",
     "make_scenario",
-    "merge_snapshots",
     "parse_mix",
 ]

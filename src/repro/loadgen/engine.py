@@ -138,7 +138,6 @@ class _Shard:
                     self._dispatch(key.data, mask)
                 self._fire_timers()
                 if self.finished >= len(self.clients):
-                    self.engine._note_shard_idle()
                     if stop.is_set():
                         break
                     self.engine._idle_wait(_TICK)
@@ -342,6 +341,7 @@ class _Shard:
         elif isinstance(action, Park):
             client.state = _PARKED
             self.parked.append(client)
+            self.engine._note_barrier_progress()
             if self.engine._released.is_set():
                 self._check_release()  # barrier already open: pass through
         elif isinstance(action, Reconnect):
@@ -503,6 +503,8 @@ class SwarmEngine:
         self._released = threading.Event()
         self._done_event = threading.Event()
         self._idle_cond = threading.Event()
+        #: Notified whenever a client parks or finishes (wait_barrier).
+        self._barrier_cond = threading.Condition()
         self._crashed = False
         self.completed_at: float | None = None
 
@@ -547,14 +549,13 @@ class SwarmEngine:
         parked at the start barrier or already finished; returns the
         number parked.  Raises :class:`TimeoutError` otherwise."""
         expected = len(self._scenarios) if expected is None else expected
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if self.parked_count + self.finished_count >= expected:
-                return self.parked_count
-            time.sleep(0.05)
-        raise TimeoutError(
-            f"only {self.parked_count}/{expected} clients reached the barrier"
-        )
+        with self._barrier_cond:
+            if not self._barrier_cond.wait_for(
+                    lambda: self.parked_count + self.finished_count >= expected,
+                    timeout):
+                raise TimeoutError(f"only {self.parked_count}/{expected} "
+                                   f"clients reached the barrier")
+        return self.parked_count
 
     def stop(self) -> None:
         """Join the shards and close every remaining socket and selector."""
@@ -642,14 +643,15 @@ class SwarmEngine:
 
     # ------------------------------------------------------- shard callbacks
     def _note_client_done(self) -> None:
+        self._note_barrier_progress()
         if self.finished_count >= len(self._scenarios) \
                 and not self._done_event.is_set():
             self.completed_at = time.monotonic()
             self._done_event.set()
 
-    def _note_shard_idle(self) -> None:
-        # A shard with all clients finished parks cheaply between ticks.
-        pass
+    def _note_barrier_progress(self) -> None:
+        with self._barrier_cond:
+            self._barrier_cond.notify_all()
 
     def _idle_wait(self, timeout: float) -> None:
         self._idle_cond.wait(timeout)

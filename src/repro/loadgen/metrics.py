@@ -13,14 +13,6 @@ seconds since the collector was created.
 
 Each event-loop shard owns a private ``Metrics`` (single-writer, no lock);
 :meth:`Metrics.merge` folds shard collectors into one for reporting.
-
-Snapshots also travel between *processes*: the federated swarm's worker
-processes serialize theirs with :meth:`MetricsSnapshot.to_wire` and the
-coordinator folds them back together with :func:`merge_snapshots`.  The
-wire form carries the raw histogram buckets (not just the summary), so a
-percentile of the merged histogram equals the percentile of the pooled
-samples — federation loses no fidelity over running everything in one
-process (a tested invariant).
 """
 
 from __future__ import annotations
@@ -30,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.obs.histogram import Histogram
+
 
 @dataclass
 class MetricsSnapshot:
@@ -60,62 +53,6 @@ class MetricsSnapshot:
                 str(sec): n for sec, n in sorted(self.series.items())
             },
         }
-
-    def to_wire(self) -> dict:
-        """Full-fidelity JSON form (raw buckets) for cross-process merge —
-        the federated swarm's worker→coordinator payload."""
-        return {
-            "histograms": {
-                op: h.to_wire() for op, h in sorted(self.histograms.items())
-            },
-            "errors": dict(self.errors),
-            "series": {str(sec): n for sec, n in sorted(self.series.items())},
-        }
-
-    @classmethod
-    def from_wire(cls, data: dict) -> "MetricsSnapshot":
-        return cls(
-            histograms={
-                op: Histogram.from_wire(h)
-                for op, h in data.get("histograms", {}).items()
-            },
-            errors={op: int(n) for op, n in data.get("errors", {}).items()},
-            series={int(sec): int(n)
-                    for sec, n in data.get("series", {}).items()},
-        )
-
-    def rebase_series(self, zero_second: int) -> None:
-        """Shift the throughput series so ``zero_second`` becomes 0 —
-        workers rebase onto their release instant so the coordinator can
-        merge series from processes with different epochs.  Completions
-        from before the new zero (setup traffic) fold into second 0."""
-        self.series = _shift_series(self.series, zero_second)
-
-
-def _shift_series(series: dict[int, int], zero_second: int) -> dict[int, int]:
-    shifted: dict[int, int] = {}
-    for second, n in series.items():
-        key = max(0, second - zero_second)
-        shifted[key] = shifted.get(key, 0) + n
-    return shifted
-
-
-def merge_snapshots(snapshots: Iterable[MetricsSnapshot]) -> MetricsSnapshot:
-    """Fold snapshots (e.g. one per federated worker) into one.  Histogram
-    buckets add, so merged percentiles equal percentiles of the pooled
-    samples; error counts and throughput series add second-by-second."""
-    merged = MetricsSnapshot()
-    for snapshot in snapshots:
-        for op, histogram in snapshot.histograms.items():
-            into = merged.histograms.get(op)
-            if into is None:
-                into = merged.histograms[op] = Histogram()
-            into.merge(histogram)
-        for op, n in snapshot.errors.items():
-            merged.errors[op] = merged.errors.get(op, 0) + n
-        for second, n in snapshot.series.items():
-            merged.series[second] = merged.series.get(second, 0) + n
-    return merged
 
 
 def _stable_copy(source: dict) -> dict:

@@ -18,16 +18,12 @@ The built-in scenarios cover the paper's workloads:
 * :class:`AdjacentSpam` — forged critical-path signatures the adjacency
   check must reject (§IV-B);
 * :class:`QuotaFlood` — distinct off-path signatures stopped only by the
-  per-user daily quota (§III-C1);
-* :class:`RampingFlood` — the same flood starting at a benign-looking
-  pace and accelerating to full blast, the shape the admission guard's
-  detector (``repro.guard``) has to catch mid-ramp.
+  per-user daily quota (§III-C1).
 """
 
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 
 from repro.loadgen import signatures as siggen
@@ -92,19 +88,13 @@ def _get_page_request(from_index: int, max_count: int) -> bytes:
 class Scenario:
     """Base scenario: subclasses implement ``begin`` and ``on_response``.
 
-    ``begin`` returns the client's first action once it is connected.  With
-    ``park_on_connect`` set, the client instead parks at the engine's start
-    barrier immediately after the transport connects — before issuing any
-    request — and ``begin`` runs on release.  That is the barrier mode the
-    federated benchmarks use: every client across every worker process
-    holds an open connection, then the whole fleet starts at once.
+    ``begin`` returns the client's first action once it is connected.  A
+    scenario that answers some response with :class:`Park` holds at the
+    engine's start barrier, and ``begin`` runs again on release.
     """
 
     #: Set when the scenario aborted on an unexpected response or error.
     failed: bool = False
-    #: Park at the start barrier straight after connecting.
-    park_on_connect: bool = False
-    _release_seen: bool = False
 
     def begin(self, ctx: ClientContext) -> Action:
         """First action on a fresh connection (and again after
@@ -112,8 +102,6 @@ class Scenario:
         raise NotImplementedError
 
     def on_connect(self, ctx: ClientContext) -> Action:
-        if self.park_on_connect and not self._release_seen:
-            return Park()
         return self.begin(ctx)
 
     def on_response(self, ctx: ClientContext, op: str, payload: bytes) -> Action:
@@ -121,7 +109,6 @@ class Scenario:
 
     def on_release(self, ctx: ClientContext) -> Action:
         """Called when the engine releases parked clients."""
-        self._release_seen = True
         return self.begin(ctx)
 
     def on_error(self, ctx: ClientContext, op: str | None, exc: Exception) -> Action:
@@ -139,13 +126,11 @@ class ColdSync(Scenario):
     set once the server reports no further entries.
     """
 
-    def __init__(self, page_size: int = 256, start_index: int = 0,
-                 park_on_connect: bool = False):
+    def __init__(self, page_size: int = 256, start_index: int = 0):
         self.page_size = page_size
         self.cursor = start_index
         self.drained = 0
         self.completed = False
-        self.park_on_connect = park_on_connect
 
     def begin(self, ctx: ClientContext) -> Action:
         return Send(_get_page_request(self.cursor, self.page_size), OP_GET_PAGE)
@@ -163,25 +148,16 @@ class ColdSync(Scenario):
 class SteadyState(Scenario):
     """``len(blobs)`` rounds of ``ADD(sig)`` + incremental ``GET``.
 
-    The client first obtains a token (``ISSUE_ID``), optionally parks at
-    the start barrier (so a benchmark can connect everyone before timing
-    begins), then alternates uploads with cursor-resumed page downloads —
-    the paper's steady-state node behavior.  A per-client
-    ``initial_delay`` staggers the first ADD after release: a swarm of
-    barrier-parked clients otherwise fires its first round as one burst,
-    and that synchronized spike — not steady-state service time — ends
-    up owning the tail percentiles.
+    The client first obtains a token (``ISSUE_ID``), then alternates
+    uploads with cursor-resumed page downloads — the paper's steady-state
+    node behavior.  ``think_time`` paces every ADD after the first.
     """
 
     def __init__(self, blobs: list[bytes], page_size: int = 256,
-                 think_time: float = 0.0, park_after_setup: bool = False,
-                 park_on_connect: bool = False, initial_delay: float = 0.0):
+                 think_time: float = 0.0):
         self.blobs = blobs
         self.page_size = page_size
         self.think_time = think_time
-        self.park_after_setup = park_after_setup
-        self.park_on_connect = park_on_connect
-        self.initial_delay = initial_delay
         self.token: str | None = None
         self.cursor = 0
         self.round = 0
@@ -198,7 +174,7 @@ class SteadyState(Scenario):
             self.completed = True
             return Stop()
         blob = self.blobs[self.round]
-        delay = self.initial_delay if first else self.think_time
+        delay = 0.0 if first else self.think_time
         return Send(encode_add_request(blob, self.token), OP_ADD, delay=delay)
 
     def on_response(self, ctx: ClientContext, op: str, payload: bytes) -> Action:
@@ -208,8 +184,6 @@ class SteadyState(Scenario):
                 self.failed = True
                 return Stop()
             self.token = str(decoded["token"])
-            if self.park_after_setup:
-                return Park()
             return self._next_add(first=True)
         if op == OP_ADD:
             if from_canonical_json(payload).get("ok"):
@@ -230,13 +204,11 @@ class Churn(Scenario):
     """
 
     def __init__(self, cycles: int = 5, ops_per_cycle: int = 2,
-                 page_size: int = 64, reconnect_delay: float = 0.0,
-                 park_on_connect: bool = False):
+                 page_size: int = 64, reconnect_delay: float = 0.0):
         self.cycles = cycles
         self.ops_per_cycle = ops_per_cycle
         self.page_size = page_size
         self.reconnect_delay = reconnect_delay
-        self.park_on_connect = park_on_connect
         self.cursor = 0
         self.connects = 0
         self.cycles_done = 0
@@ -266,13 +238,11 @@ class ForgedTokens(Scenario):
     """§III-C attacker without a valid identity: every ADD carries an
     undecryptable token and must come back ``bad_token``."""
 
-    def __init__(self, blobs: list[bytes], tokens: list[str],
-                 park_on_connect: bool = False):
+    def __init__(self, blobs: list[bytes], tokens: list[str]):
         if len(tokens) < len(blobs):
             raise ValueError("need one forged token per blob")
         self.blobs = blobs
         self.tokens = tokens
-        self.park_on_connect = park_on_connect
         self.sent = 0
         self.verdicts: dict[str, int] = {}
         self.completed = False
@@ -303,9 +273,8 @@ class _AuthenticatedSpam(Scenario):
 
     op = OP_ADD_ATTACK
 
-    def __init__(self, blobs: list[bytes], park_on_connect: bool = False):
+    def __init__(self, blobs: list[bytes]):
         self.blobs = blobs
-        self.park_on_connect = park_on_connect
         self.token: str | None = None
         self.sent = 0
         self.verdicts: dict[str, int] = {}
@@ -353,82 +322,35 @@ class QuotaFlood(_AuthenticatedSpam):
     quota (§III-C1) bounds how many the server accepts."""
 
 
-class RampingFlood(_AuthenticatedSpam):
-    """A quota flood that sneaks up: the client starts with
-    ``start_delay`` of think time per ADD (indistinguishable from a
-    steady-state node) and linearly sheds the delay over ``ramp_s``
-    seconds until it is sending flat-out.  Exercises the admission
-    guard's detection latency — a threshold tuned on the opening rate
-    misses the flood entirely; a sliding-window detector catches the
-    ramp as it crosses the budget."""
-
-    def __init__(self, blobs: list[bytes], start_delay: float = 0.05,
-                 ramp_s: float = 5.0, park_on_connect: bool = False,
-                 clock=time.monotonic):
-        super().__init__(blobs, park_on_connect=park_on_connect)
-        self.start_delay = start_delay
-        self.ramp_s = ramp_s
-        self._clock = clock
-        self._ramp_started: float | None = None
-
-    def current_delay(self) -> float:
-        """Think time at this point of the ramp (0 once fully ramped)."""
-        now = self._clock()
-        if self._ramp_started is None:
-            self._ramp_started = now
-        if self.ramp_s <= 0.0:
-            return 0.0
-        remaining = 1.0 - (now - self._ramp_started) / self.ramp_s
-        return self.start_delay * max(0.0, remaining)
-
-    def _next_add(self) -> Action:
-        action = super()._next_add()
-        if isinstance(action, Send):
-            delay = self.current_delay()
-            if delay > 0.0:
-                action = Send(action.payload, action.op, delay=delay)
-        return action
-
-
 # ------------------------------------------------------------ scenario mixes
 def _steady_blobs(rng: random.Random, rounds: int) -> list[bytes]:
     return [siggen.random_signature(rng).to_bytes() for _ in range(rounds)]
 
 
 def make_scenario(name: str, rng: random.Random, *, rounds: int = 5,
-                  page_size: int = 256, park: bool = False) -> Scenario:
-    """One scenario instance by registry name (CLI / mix helper).  With
-    ``park`` set, the client holds at the start barrier after connecting
-    (the federated-swarm barrier mode)."""
+                  page_size: int = 256) -> Scenario:
+    """One scenario instance by registry name (CLI / mix helper)."""
     seed = rng.getrandbits(32)
     if name == "cold":
-        return ColdSync(page_size=page_size, park_on_connect=park)
+        return ColdSync(page_size=page_size)
     if name == "steady":
-        return SteadyState(_steady_blobs(rng, rounds), page_size=page_size,
-                           park_on_connect=park)
+        return SteadyState(_steady_blobs(rng, rounds), page_size=page_size)
     if name == "churn":
         return Churn(cycles=max(1, rounds), ops_per_cycle=2,
-                     page_size=page_size, park_on_connect=park)
+                     page_size=page_size)
     if name == "forged":
         return ForgedTokens(
             siggen.off_path_flood_blobs(rounds, seed=seed),
             siggen.forged_tokens(rounds, seed=seed),
-            park_on_connect=park,
         )
     if name == "adjacent":
-        return AdjacentSpam(siggen.adjacent_spam_blobs(rounds, seed=seed),
-                            park_on_connect=park)
+        return AdjacentSpam(siggen.adjacent_spam_blobs(rounds, seed=seed))
     if name == "flood":
-        return QuotaFlood(siggen.off_path_flood_blobs(rounds, seed=seed),
-                          park_on_connect=park)
-    if name == "rampflood":
-        return RampingFlood(siggen.off_path_flood_blobs(rounds, seed=seed),
-                            park_on_connect=park)
+        return QuotaFlood(siggen.off_path_flood_blobs(rounds, seed=seed))
     raise ValueError(f"unknown scenario {name!r} (have {sorted(SCENARIO_NAMES)})")
 
 
-SCENARIO_NAMES = ("cold", "steady", "churn", "forged", "adjacent", "flood",
-                  "rampflood")
+SCENARIO_NAMES = ("cold", "steady", "churn", "forged", "adjacent", "flood")
 
 
 def parse_mix(spec: str) -> list[tuple[str, float]]:
@@ -451,7 +373,7 @@ def parse_mix(spec: str) -> list[tuple[str, float]]:
 
 
 def build_mix(spec: str, clients: int, seed: int = 0, *, rounds: int = 5,
-              page_size: int = 256, park: bool = False) -> list[Scenario]:
+              page_size: int = 256) -> list[Scenario]:
     """``clients`` scenario instances apportioned by the mix's weights
     (largest-remainder rounding, deterministic under ``seed``)."""
     merged: dict[str, float] = {}
@@ -470,7 +392,6 @@ def build_mix(spec: str, clients: int, seed: int = 0, *, rounds: int = 5,
     for name, count in counts.items():
         for _ in range(count):
             scenarios.append(
-                make_scenario(name, rng, rounds=rounds, page_size=page_size,
-                              park=park)
+                make_scenario(name, rng, rounds=rounds, page_size=page_size)
             )
     return scenarios

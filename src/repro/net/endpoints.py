@@ -12,8 +12,8 @@ small URLs.  A URL is the only spelling:
 
 UNIX transport matters for the Fig. 2 sweep: loopback TCP pays per-packet
 protocol overhead and, more importantly, the 20k-FD container cap is per
-*process* — a federated swarm reaches the server over one shared socket
-path with no port arithmetic, and the stale-file handling here makes
+*process* — a federated server's workers share one socket path with no
+port arithmetic, and the stale-file handling here makes
 rebinding after a crash safe (a dead socket file is removed, a live one is
 refused).
 """

@@ -21,7 +21,7 @@ every stage of its request pipeline (see ``docs/architecture.md`` §9):
 
 Recording a sample is allocation-free and lock-free (the
 :class:`~repro.obs.registry.ShardedCounter` idiom), so instrumentation is
-safe on the event-loop thread; ``bench_hotpath.py`` gates its overhead.
+safe on the event-loop thread; ``bench/``'s ``obs.cost_pct`` prices it.
 """
 
 from repro.obs.histogram import (

@@ -7,7 +7,7 @@ come from a cumulative walk.  The swarm's client-side latencies
 (``repro.loadgen.metrics``) and the server's per-stage timings are the
 same class on the same grid, so a server-side ``stage.validate`` and a
 client-side ``add`` are directly comparable, and everything that crosses
-a process boundary — STATS v2, ``--metrics-log``, the federated swarm's
+a process boundary — STATS v2, ``--metrics-log``, the federated server's
 worker results — is :meth:`Histogram.to_wire` on one side and
 :meth:`Histogram.from_wire` + :meth:`Histogram.merge` on the other.
 Buckets add under ``merge``, so a percentile of the merged histogram

@@ -13,7 +13,7 @@ Two registry flavours share one interface:
 * :class:`NullRegistry` / :data:`NULL_REGISTRY` — every instrument is a
   shared no-op, ``enabled`` is ``False`` so call sites can skip even the
   ``perf_counter()`` reads.  ``--no-metrics`` swaps this in, and
-  ``bench_hotpath.py`` gates the real registry's overhead against it.
+  ``bench/``'s ``obs.cost_pct`` prices the real registry against it.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ the way the store's single-writer invariants demand:
   serve.
 
 Control protocol (line-delimited JSON on the worker's stdout, bare
-commands on its stdin — the idiom of :mod:`repro.loadgen.federation`)::
+commands on its stdin; :func:`_read_event` is its one parser)::
 
     worker  → {"event": "ready", "index": 0, "pid": ..., ...}
     coord   → drain\\n
@@ -356,6 +356,21 @@ def _spawn_worker(index: int, args, tcp_endpoints, unix_listeners,
     return _Worker(index, proc)
 
 
+def _read_event(worker: _Worker) -> bool:
+    """Read one control line from ``worker`` into ``worker.events``;
+    False once its stdout hit EOF (the worker exited)."""
+    line = worker.proc.stdout.readline()
+    if not line:
+        worker.eof = True
+        return False
+    try:
+        message = json.loads(line)
+    except ValueError:
+        return True  # stray non-protocol output
+    worker.events[str(message.get("event"))] = message
+    return True
+
+
 def _pump_events(workers: list[_Worker], wanted: str, deadline: float) -> None:
     """Read control lines until every live worker produced ``wanted`` (or
     aborted/died) or the deadline passes."""
@@ -372,16 +387,7 @@ def _pump_events(workers: list[_Worker], wanted: str, deadline: float) -> None:
             streams, [], [], min(0.5, max(0.01, deadline - time.monotonic()))
         )
         for stream in ready:
-            worker = by_stream[stream]
-            line = stream.readline()
-            if not line:
-                worker.eof = True
-                continue
-            try:
-                message = json.loads(line)
-            except ValueError:
-                continue  # stray non-protocol output
-            worker.events[str(message.get("event"))] = message
+            _read_event(by_stream[stream])
 
 
 def _send_command(worker: _Worker, command: str) -> None:
@@ -541,16 +547,8 @@ def run_federation(args, endpoints, admin_endpoints) -> int:
                 continue
             for stream in ready:
                 worker = by_stream[stream]
-                line = stream.readline()
-                if line:
-                    try:
-                        message = json.loads(line)
-                    except ValueError:
-                        continue
-                    worker.events[str(message.get("event"))] = message
-                    continue
-                worker.eof = True
-                if stop.is_set() or "result" in worker.events:
+                if _read_event(worker) or stop.is_set() \
+                        or "result" in worker.events:
                     continue
                 worker.crashed = True
                 rc = 1

@@ -23,7 +23,8 @@ registered connection, the listeners, the wakeup pipe, and the selector
 are closed — no leaked file descriptors, and UNIX socket files are
 unlinked.
 
-The syscall layer is batched (see ``benchmarks/bench_hotpath.py``):
+The syscall layer is batched (``tests/net/test_bufpool.py`` and
+``tests/server/test_transport.py``'s ``allocated <= 2`` pin the reads):
 
 * reads go through ``recv_into`` on a :class:`~repro.net.BufferPool`
   buffer — zero allocation per read event — and complete frames are

@@ -123,8 +123,10 @@ class TestKeyedModeHelpers:
 class TestSelection:
     @pytest.fixture(autouse=True)
     def _clean_env(self, monkeypatch):
-        # CI runs this file with REPRO_CRYPTO_BACKEND pinned to each
-        # backend in turn; selection tests need the un-pinned default.
+        # CI's tier-1 job installs cryptography, so the parity and
+        # available_backends()-parametrised tests cover pure and fast in
+        # one run; a shell may still pin REPRO_CRYPTO_BACKEND, and
+        # selection tests need the un-pinned default.
         monkeypatch.delenv(BACKEND_ENV, raising=False)
 
     def test_pure_always_available(self):

@@ -5,6 +5,8 @@ import random
 import pytest
 
 from repro.loadgen.scenarios import (
+    OP_ISSUE_ID,
+    SCENARIO_NAMES,
     AdjacentSpam,
     Churn,
     ClientContext,
@@ -12,7 +14,6 @@ from repro.loadgen.scenarios import (
     ForgedTokens,
     Park,
     QuotaFlood,
-    RampingFlood,
     Reconnect,
     Send,
     SteadyState,
@@ -35,6 +36,17 @@ from repro.util.encoding import canonical_json, from_canonical_json
 
 
 CTX = ClientContext(client_id=0)
+
+
+class ParkAfterToken(SteadyState):
+    """Fig. 3's barrier shape: obtain a token, then hold at the start
+    barrier; ``on_release`` sends the first ADD."""
+
+    def on_response(self, ctx, op, payload):
+        action = super().on_response(ctx, op, payload)
+        if op == OP_ISSUE_ID and not self.failed:
+            return Park()
+        return action
 
 
 def page(next_index, blobs, more):
@@ -95,8 +107,7 @@ class TestSteadyState:
         assert scenario.cursor == 2
 
     def test_parks_at_barrier_then_releases(self):
-        scenario = SteadyState(random_signature_blobs(1, seed=6),
-                               park_after_setup=True)
+        scenario = ParkAfterToken(random_signature_blobs(1, seed=6))
         scenario.on_connect(CTX)
         action = scenario.on_response(CTX, "issue_id", self._token_response())
         assert isinstance(action, Park)
@@ -120,16 +131,6 @@ class TestSteadyState:
         scenario.on_response(CTX, "add", canonical_json({"ok": True}))
         later = scenario.on_response(CTX, "get_page", page(1, [], False))
         assert later.delay == 0.5
-
-    def test_initial_delay_staggers_first_add_only(self):
-        scenario = SteadyState(random_signature_blobs(2, seed=9),
-                               think_time=0.5, initial_delay=0.125)
-        scenario.on_connect(CTX)
-        first = scenario.on_response(CTX, "issue_id", self._token_response())
-        assert first.delay == 0.125
-        scenario.on_response(CTX, "add", canonical_json({"ok": True}))
-        later = scenario.on_response(CTX, "get_page", page(1, [], False))
-        assert later.delay == 0.5  # later rounds pace by think_time
 
 
 class TestChurn:
@@ -195,58 +196,6 @@ class TestAttackScenarios:
             ForgedTokens(off_path_flood_blobs(3), forged_tokens(2))
 
 
-class TestRampingFlood:
-    def _drive(self, scenario, n):
-        """Run n ADD rounds; returns the delay carried by each Send."""
-        action = scenario.on_connect(CTX)
-        action = scenario.on_response(
-            CTX, "issue_id", canonical_json({"ok": True, "token": "aa"})
-        )
-        delays = []
-        for _ in range(n):
-            assert drive_request(action)["op"] == "ADD"
-            delays.append(action.delay)
-            action = scenario.on_response(
-                CTX, "add_attack",
-                canonical_json({"ok": False, "verdict": "quota_exceeded"}),
-            )
-        return delays, action
-
-    def test_delay_ramps_linearly_to_zero(self):
-        clock = iter(float(t) for t in range(0, 100)).__next__
-        scenario = RampingFlood(off_path_flood_blobs(8, seed=4),
-                                start_delay=0.1, ramp_s=4.0, clock=clock)
-        delays, _ = self._drive(scenario, 8)
-        # Clock ticks one second per send: 4 ramping sends, then flat out.
-        assert delays[0] == pytest.approx(0.1)
-        assert delays[1] == pytest.approx(0.075)
-        assert delays[2] == pytest.approx(0.05)
-        assert delays[3] == pytest.approx(0.025)
-        assert delays[4:] == [0.0] * 4
-
-    def test_completes_and_tallies_like_a_flood(self):
-        scenario = RampingFlood(off_path_flood_blobs(3, seed=5),
-                                start_delay=0.0, ramp_s=0.0)
-        _, action = self._drive(scenario, 3)
-        assert isinstance(action, Stop)
-        assert scenario.completed
-        assert scenario.verdicts == {"quota_exceeded": 3}
-
-    def test_zero_ramp_means_immediate_full_rate(self):
-        scenario = RampingFlood(off_path_flood_blobs(2, seed=6),
-                                start_delay=0.5, ramp_s=0.0)
-        delays, _ = self._drive(scenario, 2)
-        assert delays == [0.0, 0.0]
-
-    def test_registered_in_make_scenario(self):
-        scenario = make_scenario("rampflood", random.Random(1), rounds=4)
-        assert isinstance(scenario, RampingFlood)
-        assert len(scenario.blobs) == 4
-        mixed = build_mix("steady=1,rampflood=1", 4, seed=2)
-        kinds = {type(s).__name__ for s in mixed}
-        assert "RampingFlood" in kinds
-
-
 class TestMixBuilding:
     def test_parse_mix(self):
         assert parse_mix("cold=1,steady=2") == [("cold", 1.0), ("steady", 2.0)]
@@ -277,3 +226,15 @@ class TestMixBuilding:
     def test_make_scenario_rejects_unknown(self):
         with pytest.raises(ValueError):
             make_scenario("nope", random.Random(0))
+
+    @pytest.mark.parametrize("attempt", [
+        lambda: parse_mix("rampflood=1"),
+        lambda: make_scenario("rampflood", random.Random(0)),
+        lambda: build_mix("steady=1,rampflood=1", 4),
+    ], ids=["parse_mix", "make_scenario", "build_mix"])
+    def test_removed_rampflood_names_the_remaining_scenarios(self, attempt):
+        with pytest.raises(ValueError, match="rampflood") as excinfo:
+            attempt()
+        for name in SCENARIO_NAMES:
+            assert repr(name) in str(excinfo.value)
+        assert "rampflood" not in SCENARIO_NAMES

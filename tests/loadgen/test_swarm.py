@@ -1,5 +1,6 @@
 """SwarmEngine integration: deterministic loopback runs against a live
-event-driven server — drain completeness, FD hygiene, metrics invariants."""
+event-driven server — drain completeness, FD hygiene, metrics invariants —
+and the command line's rejection of removed options."""
 
 import os
 import random
@@ -9,6 +10,7 @@ import time
 import pytest
 
 from repro.crypto.userid import UserIdAuthority
+from repro.loadgen.__main__ import main as loadgen_main
 from repro.loadgen.engine import SwarmEngine
 from repro.loadgen.scenarios import (
     AdjacentSpam,
@@ -27,6 +29,7 @@ from repro.loadgen.signatures import (
 from repro.server.server import CommunixServer
 from repro.server.transport import ServerTransport
 from repro.util.clock import ManualClock
+from tests.loadgen.test_scenarios import ParkAfterToken
 
 PRELOAD = 100
 
@@ -149,19 +152,18 @@ class TestBarrier:
         _, _, url = live_server
         n = 20
         scenarios = [
-            SteadyState(random_signature_blobs(1, seed=2000 + i),
-                        page_size=32, park_after_setup=True)
+            ParkAfterToken(random_signature_blobs(1, seed=2000 + i),
+                           page_size=32)
             for i in range(n)
         ]
         engine = SwarmEngine(url, loops=2)
         engine.add_clients(scenarios)
         engine.start()
         try:
-            deadline = time.monotonic() + 60.0
-            while engine.parked_count < n and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert engine.parked_count == n
+            assert engine.wait_barrier(n, timeout=60.0) == n
             assert engine.connected_count == n
+            # Only the setup round trip ran before the gate.
+            assert engine.issued() == {"issue_id": n}
             released_at = engine.release()
             assert engine.wait(60.0)
             assert engine.completed_at >= released_at
@@ -202,35 +204,6 @@ class TestUnixTransport:
         assert snapshot.count("add") == 40
         assert engine.open_fds() == []
 
-    def test_park_on_connect_barrier_mixed_scenarios(self, live_server):
-        """Every scenario type parks before its first request and resumes
-        on release — the federation worker's barrier mode."""
-        from repro.loadgen.scenarios import build_mix
-
-        _, _, url = live_server
-        n = 18
-        scenarios = build_mix(
-            "cold=1,steady=1,churn=1,forged=1,adjacent=1,flood=1",
-            n, seed=9, rounds=2, page_size=32, park=True,
-        )
-        engine = SwarmEngine(url, loops=2)
-        engine.add_clients(scenarios)
-        engine.start()
-        try:
-            parked = engine.wait_barrier(timeout=60.0)
-            assert parked == n  # nobody issued a request before the gate
-            assert engine.connected_count == n
-            snapshot_before = engine.snapshot()
-            assert snapshot_before.completed == 0
-            engine.release()
-            assert engine.wait(60.0)
-        finally:
-            engine.stop()
-        snapshot = engine.snapshot()
-        assert snapshot.errors == {}
-        assert [s for s in scenarios if s.failed] == []
-        assert snapshot.completed > 0
-
 
 class TestLifecycle:
     def test_empty_engine_finishes_immediately(self):
@@ -264,6 +237,17 @@ class TestLifecycle:
         assert all(s.failed for s in scenarios)
         assert engine.open_fds() == []
 
+    def test_wait_barrier_times_out_short_of_expected(self, live_server):
+        _, _, url = live_server
+        engine = SwarmEngine(url, loops=1)
+        engine.add_clients([ColdSync(page_size=8)])
+        engine.start()
+        try:
+            with pytest.raises(TimeoutError):
+                engine.wait_barrier(2, timeout=0.2)  # one client is never two
+        finally:
+            engine.stop()
+
     def test_add_clients_after_start_rejected(self):
         engine = SwarmEngine("tcp://127.0.0.1:1")
         engine.start()
@@ -287,3 +271,22 @@ class TestPooledReceive:
         for shard in engine._shards:
             # Single-threaded shard loop: one buffer serves every read.
             assert shard._recv_pool.allocated <= 2
+
+
+class TestCommandLine:
+    """Options of the retired multi-process swarm are gone, not ignored."""
+
+    @pytest.mark.parametrize("removed", [
+        ["--procs", "2"], ["--waves", "2"], ["--worker"],
+        ["--idle-timeout", "5"],
+    ], ids=["procs", "waves", "worker", "idle-timeout"])
+    def test_removed_option_is_a_usage_error(self, removed):
+        with pytest.raises(SystemExit) as excinfo:
+            loadgen_main(["--serve", "--quiet", *removed])
+        assert excinfo.value.code == 2
+
+    def test_removed_rampflood_scenario_names_the_remaining_ones(self):
+        with pytest.raises(ValueError, match="rampflood") as excinfo:
+            loadgen_main(["--connect", "tcp://127.0.0.1:1", "--quiet",
+                          "--scenario", "rampflood"])
+        assert "'flood'" in str(excinfo.value)
