@@ -41,7 +41,7 @@ from repro.net import EndpointError, parse_endpoint
 from repro.obs import MetricsLogWriter
 from repro.server.server import CommunixServer, ServerConfig
 from repro.server.transport import ServerTransport
-from repro.store import StoreError, parse_fsync_policy
+from repro.store import FSYNC_POLICIES, StoreError
 from repro.util.errors import CryptoError
 from repro.util.logging import enable_console_logging
 
@@ -101,9 +101,11 @@ def build_parser() -> argparse.ArgumentParser:
              "log in DIR (replayed on restart); default: memory only",
     )
     parser.add_argument(
-        "--fsync", metavar="POLICY", default="always",
-        help="store fsync policy: 'always' (acked ADDs survive kill -9), "
-             "'interval:<ms>' (background flusher), or 'never'",
+        "--fsync", choices=FSYNC_POLICIES, default="always",
+        help="store fsync policy: 'always' (acked ADDs survive kill -9; "
+             "concurrent ADDs share group-committed fsyncs) or 'never' "
+             "(the OS decides; the graceful drain and the final "
+             "checkpoint still fsync)",
     )
     parser.add_argument(
         "--checkpoint-every", type=int, default=4096, metavar="N",
@@ -178,6 +180,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def config_from_args(args: argparse.Namespace) -> ServerConfig:
+    """The one CLI → :class:`ServerConfig` mapping, shared by the
+    single-process server and every federation worker."""
+    return ServerConfig(
+        max_signatures_per_user_per_day=args.quota_per_day,
+        adjacency_check=not args.no_adjacency_check,
+        data_dir=args.data_dir,
+        fsync_policy=args.fsync,
+        checkpoint_every=args.checkpoint_every,
+        crypto_backend=args.crypto_backend,
+        token_cache_size=args.token_cache_size,
+        metrics_enabled=not args.no_metrics,
+        slow_request_ms=args.slow_request_ms,
+        guard_enabled=args.guard,
+        guard_budget=args.guard_budget,
+        guard_window_s=args.guard_window,
+        guard_tarpit_s=args.guard_tarpit,
+        trace_buffer_size=args.trace_buffer,
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     enable_console_logging()
@@ -186,16 +209,11 @@ def main(argv: list[str] | None = None) -> int:
         # control channel, endpoints arrive via --addr/--fd-channel.
         from repro.server.federation import federation_worker_main
 
-        return federation_worker_main(args)
+        return federation_worker_main(args, config_from_args(args))
     try:
         endpoints = [parse_endpoint(spec)
                      for spec in args.addr or [DEFAULT_ADDR]]
     except EndpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        parse_fsync_policy(args.fsync)
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -216,22 +234,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.server_procs < 1:
         print("error: --server-procs must be positive", file=sys.stderr)
         return 2
-    config = ServerConfig(
-        max_signatures_per_user_per_day=args.quota_per_day,
-        adjacency_check=not args.no_adjacency_check,
-        data_dir=args.data_dir,
-        fsync_policy=args.fsync,
-        checkpoint_every=args.checkpoint_every,
-        crypto_backend=args.crypto_backend,
-        token_cache_size=args.token_cache_size,
-        metrics_enabled=not args.no_metrics,
-        slow_request_ms=args.slow_request_ms,
-        guard_enabled=args.guard,
-        guard_budget=args.guard_budget,
-        guard_window_s=args.guard_window,
-        guard_tarpit_s=args.guard_tarpit,
-        trace_buffer_size=args.trace_buffer,
-    )
+    config = config_from_args(args)
     try:
         server = CommunixServer(config=config)
     except (OSError, StoreError) as exc:
@@ -253,6 +256,16 @@ def main(argv: list[str] | None = None) -> int:
         idle_timeout=args.idle_timeout,
         admin_endpoints=admin_endpoints,
     )
+    # SIGTERM/SIGINT request a *graceful* stop: the handler only sets the
+    # event, and the main thread then runs the full drain — in-flight
+    # requests finish, the store is flushed and sealed (final checkpoint),
+    # listeners close and UNIX socket files are unlinked — so a signaled
+    # server never dies mid-write.  Installed before the listeners open,
+    # so a signal sent the instant the readiness line appears is drained
+    # too, not fatal.
+    stop = threading.Event()
+    signal.signal(signal.SIGINT, lambda *_: stop.set())
+    signal.signal(signal.SIGTERM, lambda *_: stop.set())
     try:
         transport.start()
     except EndpointError as exc:
@@ -272,14 +285,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"communix-server also listening on {endpoint.url()}")
     for endpoint in transport.bound_admin_endpoints:
         print(f"communix-server admin plane on {endpoint.url()}")
-    # SIGTERM/SIGINT request a *graceful* stop: the handler only sets the
-    # event, and the main thread then runs the full drain — in-flight
-    # requests finish, the store is flushed and sealed (final checkpoint),
-    # listeners close and UNIX socket files are unlinked — so a signaled
-    # server never dies mid-write.
-    stop = threading.Event()
-    signal.signal(signal.SIGINT, lambda *_: stop.set())
-    signal.signal(signal.SIGTERM, lambda *_: stop.set())
     try:
         stop.wait()
     finally:

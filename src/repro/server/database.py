@@ -29,14 +29,15 @@ A per-user side index of top-frame sets supports the adjacency check
 (§III-C2) without deserializing history.
 
 The database is memory-first but optionally **durable**: give it a
-:class:`~repro.store.SignatureStore` and every accepted append is also
-written to the store's segmented write-ahead log *before* the in-memory
-state publishes it (under the ``always`` fsync policy an acked ADD
-therefore survives ``kill -9``), and construction replays the store —
+:class:`~repro.store.SignatureStore` and construction replays the store —
 rebuilding the sharded segments, the dedup map, and the per-user adjacency
-index from the log + checkpoint manifest.  The disk write happens on
-whatever thread calls :meth:`append` (the server's worker pool), never on
-the transport's event loop.
+index from the log + checkpoint manifest.  Every append, with a store or
+without, takes the same staged path: stage the entry (and the log record)
+under the append lock, commit the store outside it — the group-committed
+fsync under ``always``, skipped when there is no store — then publish, so
+an acked ADD survives ``kill -9`` and concurrent ADDs share one fsync.
+The disk write happens on whatever thread calls :meth:`append` (the
+server's worker pool), never on the transport's event loop.
 """
 
 from __future__ import annotations
@@ -197,12 +198,11 @@ class SignatureDatabase:
         self.replayed_count = 0
         if store is not None:
             self._replay_store(store)
-            if hasattr(store, "set_metadata_provider"):
-                # From here on the store pulls (sig_id, top_frames, uid)
-                # from this database at checkpoint time instead of keeping
-                # its own per-record mirrors — one copy of the metadata,
-                # not two, at million-signature scale.
-                store.set_metadata_provider(self)
+            # From here on the store pulls (sig_id, top_frames, uid) from
+            # this database at checkpoint time instead of keeping its own
+            # per-record mirrors — one copy of the metadata, not two, at
+            # million-signature scale.
+            store.set_metadata_provider(self)
 
     def _replay_store(self, store) -> None:
         """Rebuild in-memory state from the store's recovered entries
@@ -267,41 +267,18 @@ class SignatureDatabase:
         existing index is returned — many users reporting the same deadlock
         is the expected steady state.  ``trace`` rides down to the store
         so the WAL can stamp its fsync wait.
+
+        One path, in three phases, so concurrent ADDs share one
+        group-committed fsync instead of serializing behind the append
+        lock: (1) stage — the log's write phase plus the in-memory entry,
+        invisible to readers until ``_count`` publishes it; (2) commit —
+        the fsync, *outside* the append lock (skipped without a store);
+        (3) publish.  Durability before visibility holds: ``_count`` only
+        ever advances over fsync-covered records (the log's durable
+        prefix is monotone, so a later committer publishing past an
+        earlier stager's record is sound).
         """
         store = self._store
-        if store is None or not getattr(store, "group_commit", False):
-            with self._append_lock:
-                existing = self._by_sig_id.get(signature.sig_id)
-                if existing is not None:
-                    return existing
-                if store is not None:
-                    # Durability before visibility: the record hits the
-                    # log before the count publishes it.  A failed write
-                    # surfaces here with the in-memory state untouched.
-                    logged = store.append(
-                        blob, signature.sig_id, sender_uid,
-                        signature.top_frames, trace=trace,
-                    )
-                    if logged != self._count:  # pragma: no cover - guard
-                        raise RuntimeError(
-                            f"store index {logged} diverged from database "
-                            f"index {self._count}"
-                        )
-                index = self._insert_locked(blob, signature.sig_id,
-                                            sender_uid,
-                                            signature.top_frames)
-                self._page_cache.invalidate()
-            self._notify_publish()
-            return index
-        # Write-through path, in three phases so concurrent ADDs share
-        # one group-committed fsync instead of serializing behind this
-        # lock: (1) stage — log write phase plus the in-memory entry,
-        # invisible to readers until _count publishes it; (2) commit —
-        # the fsync, *outside* the append lock; (3) publish.  Durability
-        # before visibility still holds: _count only ever advances over
-        # fsync-covered records (the log's durable prefix is monotone, so
-        # a later committer publishing past an earlier stager's record is
-        # sound).
         with self._append_lock:
             existing = self._by_sig_id.get(signature.sig_id)
             if existing is not None and existing < self._count:
@@ -313,29 +290,32 @@ class SignatureDatabase:
                 index = existing
             else:
                 index = len(self._entries)
-                logged = store.stage_append(blob, signature.sig_id,
-                                            sender_uid,
-                                            signature.top_frames)
-                if logged != index:  # pragma: no cover - logic guard
-                    raise RuntimeError(
-                        f"store index {logged} diverged from database "
-                        f"index {index}"
-                    )
+                if store is not None:
+                    logged = store.stage_append(blob, signature.sig_id,
+                                                sender_uid,
+                                                signature.top_frames)
+                    if logged != index:  # pragma: no cover - logic guard
+                        raise RuntimeError(
+                            f"store index {logged} diverged from database "
+                            f"index {index}"
+                        )
                 self._stage_locked(blob, signature.sig_id, sender_uid,
                                    signature.top_frames)
-        try:
-            store.commit_staged(index + 1, trace=trace)
-        except OSError:
-            with self._append_lock:
-                # Undo the stage when the log could (newest record, no
-                # covering fsync — then stage order makes ours newest
-                # here too).  Otherwise the record stays in the log
-                # unacked; a later publish or a restart replay surfaces
-                # it, which is indistinguishable from a client retry.
-                if (store.rollback_staged(index)
-                        and len(self._entries) == index + 1):
-                    self._unstage_locked(index)
-            raise
+        if store is not None:
+            try:
+                store.commit_staged(index + 1, trace=trace)
+            except OSError:
+                with self._append_lock:
+                    # Undo the stage when the log could (newest record, no
+                    # covering fsync — then stage order makes ours newest
+                    # here too).  Otherwise the record stays in the log
+                    # unacked; a later publish or a restart replay
+                    # surfaces it, which is indistinguishable from a
+                    # client retry.
+                    if (store.rollback_staged(index)
+                            and len(self._entries) == index + 1):
+                        self._unstage_locked(index)
+                raise
         with self._append_lock:
             if index >= len(self._entries) or (
                     self._entries[index].sig_id != signature.sig_id):
@@ -349,10 +329,10 @@ class SignatureDatabase:
                 self._page_cache.invalidate()
         if published:
             self._notify_publish()
-        # As the store's metadata provider, this database must drive the
-        # checkpoint cadence: only now — entry published — do both
-        # layers agree on the full count.
-        if hasattr(store, "maybe_checkpoint"):
+        if store is not None:
+            # As the store's metadata provider, this database drives the
+            # checkpoint cadence: only now — entry published — do both
+            # layers agree on the full count.
             store.maybe_checkpoint()
         return index
 
@@ -393,8 +373,8 @@ class SignatureDatabase:
     def _insert_locked(self, blob: bytes, sig_id: str, sender_uid: int,
                        top_frames: frozenset) -> int:
         """In-memory append, published immediately (caller holds
-        ``_append_lock`` and guarantees durability already — or doesn't
-        need it: replay, replicas, the storeless path)."""
+        ``_append_lock`` and the record is durable already: replay and
+        replicas)."""
         index = self._stage_locked(blob, sig_id, sender_uid, top_frames)
         self._count = index + 1  # publish: readers may now see it
         return index

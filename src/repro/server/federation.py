@@ -88,29 +88,6 @@ def _emit(payload: dict) -> None:
 
 
 # --------------------------------------------------------------- worker side
-def _worker_config(args):
-    """The worker's ServerConfig from the CLI namespace (same mapping as
-    the single-process path in ``repro.server.__main__``)."""
-    from repro.server.server import ServerConfig
-
-    return ServerConfig(
-        max_signatures_per_user_per_day=args.quota_per_day,
-        adjacency_check=not args.no_adjacency_check,
-        data_dir=args.data_dir,
-        fsync_policy=args.fsync,
-        checkpoint_every=args.checkpoint_every,
-        crypto_backend=args.crypto_backend,
-        token_cache_size=args.token_cache_size,
-        metrics_enabled=not args.no_metrics,
-        slow_request_ms=args.slow_request_ms,
-        guard_enabled=args.guard,
-        guard_budget=args.guard_budget,
-        guard_window_s=args.guard_window,
-        guard_tarpit_s=args.guard_tarpit,
-        trace_buffer_size=args.trace_buffer,
-    )
-
-
 def _recv_shared_listeners(channel_fd: int) -> list:
     """Adopt every listening FD the coordinator sends over the inherited
     socketpair; EOF (coordinator closed its end) terminates the batch."""
@@ -129,9 +106,12 @@ def _recv_shared_listeners(channel_fd: int) -> list:
     return pairs
 
 
-def federation_worker_main(args) -> int:
+def federation_worker_main(args, config) -> int:
     """``python -m repro.server --federation-worker IDX``: one worker.
 
+    ``config`` is the worker's :class:`~repro.server.server.ServerConfig`,
+    mapped from ``args`` exactly as the single-process server maps its
+    own (replicas get no ``--data-dir``: the log is the owner's alone).
     stdout is the JSON control channel (never the human banner); logs go
     to stderr.  Worker 0 opens the store and serves the internal
     replication endpoint; every other index runs the forwarding replica
@@ -144,9 +124,6 @@ def federation_worker_main(args) -> int:
 
     index = args.federation_worker
     is_owner = index == 0
-    config = _worker_config(args)
-    if not is_owner:
-        config.data_dir = None  # the log is the owner's alone
 
     endpoints = [parse_endpoint(spec) for spec in (args.addr or [])]
     listen_sockets = []
@@ -205,6 +182,11 @@ def federation_worker_main(args) -> int:
         server.close()
         return 2
 
+    # Before the ready event: once the coordinator has it, a signal may
+    # arrive at any moment and must drain, not kill.
+    stop = threading.Event()
+    signal.signal(signal.SIGINT, lambda *_: stop.set())
+    signal.signal(signal.SIGTERM, lambda *_: stop.set())
     _emit({
         "event": "ready",
         "index": index,
@@ -215,9 +197,6 @@ def federation_worker_main(args) -> int:
         "restored": restored,
     })
 
-    stop = threading.Event()
-    signal.signal(signal.SIGINT, lambda *_: stop.set())
-    signal.signal(signal.SIGTERM, lambda *_: stop.set())
     while not stop.is_set():
         try:
             readable, _, _ = select.select([sys.stdin], [], [], 0.2)
@@ -510,6 +489,11 @@ def run_federation(args, endpoints, admin_endpoints) -> int:
                 worker.proc.kill()
             return 1
 
+        # Before the readiness line: a SIGTERM sent the instant it appears
+        # must start the two-phase drain, not kill the coordinator.
+        stop = threading.Event()
+        signal.signal(signal.SIGINT, lambda *_: stop.set())
+        signal.signal(signal.SIGTERM, lambda *_: stop.set())
         ready0 = owner.events["ready"]
         print(f"communix-federation: {procs} workers "
               f"(log owner pid {owner.pid}, replicas "
@@ -529,9 +513,6 @@ def run_federation(args, endpoints, admin_endpoints) -> int:
                 print(f"communix-server admin plane ({role}) on {url}")
 
         # ----------------------------------------------------- serve loop
-        stop = threading.Event()
-        signal.signal(signal.SIGINT, lambda *_: stop.set())
-        signal.signal(signal.SIGTERM, lambda *_: stop.set())
         by_stream = {w.proc.stdout: w for w in workers}
         while not stop.is_set():
             live = [w for w in workers if not w.eof]

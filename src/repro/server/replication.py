@@ -9,9 +9,11 @@ full in-memory copy of the database for GETs and forward every state
 mutation to the owner over an internal ``unix://`` endpoint:
 
 * **ADD** — the replica does the per-request work that needs no global
-  state (size/parse checks, AES token decode) and forwards ``(uid, blob)``.
-  The owner re-validates against global state (per-user quota, adjacency,
-  dedup), appends to WAL + database, and replies with the verdict.  The
+  state (size check, AES token decode) and forwards ``(uid, blob)``.  The
+  owner runs the same ADD body a direct ADD runs, starting from that uid
+  (:meth:`~repro.server.server.CommunixServer.process_forwarded_add`:
+  parse, per-user quota, adjacency, dedup, the WAL + database append),
+  and replies with the verdict.  The
   replica acks its client **only after** the owner's durability reply —
   an acked ADD is on disk (under ``--fsync always``) no matter which
   worker accepted the connection.
@@ -534,12 +536,9 @@ class FederatedWorkerServer(CommunixServer):
         exemplar = trace.hex_id() if trace is not None else None
         if len(blob) > self.config.max_signature_bytes:
             return self._rejected("oversized")
-        if self.config.require_token:
-            uid = self.validator.resolve_uid(token, trace)
-            if uid is None:
-                return self._rejected("bad_token")
-        else:
-            uid = 0
+        uid = self.validator.resolve_uid(token, trace)
+        if uid is None:
+            return self._rejected("bad_token")
         if self.guard is not None:
             started = perf_counter() if timed else 0.0
             admitted = self.guard.admit_uid(uid)

@@ -45,7 +45,6 @@ STATS_VERSION = 2
 @dataclass
 class ServerConfig:
     max_signatures_per_user_per_day: int = 10
-    require_token: bool = True
     adjacency_check: bool = True
     #: Upper bound on accepted signature blob size; a 2-thread signature is
     #: ~1.7 KB (paper §IV-A), so this is generous while bounding abuse.
@@ -57,9 +56,9 @@ class ServerConfig:
     #: :mod:`repro.store`).  ``None`` keeps the seed behavior — memory only,
     #: the database dies with the process.
     data_dir: str | None = None
-    #: Store fsync policy: ``always`` (an acked ADD survives kill -9),
-    #: ``interval:<ms>`` (background flusher; bounded loss window), or
-    #: ``never`` (OS-paced; clean shutdown still flushes).
+    #: Store fsync policy: ``always`` (an acked ADD survives kill -9;
+    #: concurrent ADDs share group-committed fsyncs) or ``never``
+    #: (OS-paced; the graceful drain, checkpoints and close still fsync).
     fsync_policy: str = "always"
     #: Write a checkpoint manifest every this many accepted signatures
     #: (plus one on clean shutdown); 0 checkpoints only on shutdown.
@@ -197,7 +196,7 @@ class CommunixServer:
                 checkpoint_every=self.config.checkpoint_every,
             )
         self.store = store
-        if store is not None and hasattr(store, "set_metrics"):
+        if store is not None:
             # Covers caller-supplied stores too: the WAL's fsync wait
             # lands in stage.wal_fsync either way.
             store.set_metrics(metrics)
@@ -310,28 +309,52 @@ class CommunixServer:
         transport hands down when the slow-request log is armed; stage
         timings always go to the registry histograms when metrics are on.
         """
+        return self._add(blob, token, None, trace, True)
+
+    def process_forwarded_add(self, blob: bytes, uid: int,
+                              trace=None) -> AddOutcome:
+        """ADD forwarded over the internal endpoint by a federated replica
+        worker that already decoded the sender token to ``uid`` (see
+        :mod:`repro.server.federation`).
+
+        The log owner runs the same body as :meth:`process_add` — size,
+        parse, quota, adjacency, dedup, the durable append — starting
+        from the forwarded uid.  Request accounting is deliberately
+        skipped: the forwarding worker already counted this ADD against
+        its own client-facing stats, and the coordinator sums those —
+        counting here too would double-book every forwarded request in
+        the merged totals.
+        """
+        return self._add(blob, None, uid, trace, False)
+
+    def _add(self, blob: bytes, token: str | None, uid: int | None, trace,
+             counted: bool) -> AddOutcome:
+        """The one ADD body: size check, parse, uid (decoded from
+        ``token`` when ``uid`` is ``None``), quota + adjacency, the
+        durable append.  ``counted`` says whether the request counters
+        move."""
         timed = self._obs_on or trace is not None
         exemplar = trace.hex_id() if trace is not None else None
         if len(blob) > self.config.max_signature_bytes:
-            return self._rejected("oversized")
+            return self._rejected("oversized", counted)
         try:
             signature = DeadlockSignature.from_bytes(blob, origin=ORIGIN_REMOTE)
         except ValidationError:
-            return self._rejected("malformed")
-        if self.config.require_token:
-            started = perf_counter() if timed else 0.0
-            verdict, uid = self.validator.check_add(signature, token, trace)
-            if timed:
-                elapsed = perf_counter() - started
-                self._h_validate.record(elapsed, exemplar)
-                if trace is not None:
-                    trace.stamp(STAGE_VALIDATE, elapsed)
-            if not self.config.adjacency_check and verdict is ServerVerdict.ADJACENT:
-                verdict, uid = ServerVerdict.OK, uid
-            if verdict is not ServerVerdict.OK:
-                return self._rejected(verdict.value)
-        else:
-            uid = 0
+            return self._rejected("malformed", counted)
+        started = perf_counter() if timed else 0.0
+        if uid is None:
+            uid = self.validator.resolve_uid(token, trace)
+        verdict = (ServerVerdict.BAD_TOKEN if uid is None
+                   else self.validator.check_add_uid(signature, uid, trace))
+        if timed:
+            elapsed = perf_counter() - started
+            self._h_validate.record(elapsed, exemplar)
+            if trace is not None:
+                trace.stamp(STAGE_VALIDATE, elapsed)
+        if not self.config.adjacency_check and verdict is ServerVerdict.ADJACENT:
+            verdict = ServerVerdict.OK
+        if verdict is not ServerVerdict.OK:
+            return self._rejected(verdict.value, counted)
         started = perf_counter() if timed else 0.0
         try:
             index = self.database.append(signature, blob, uid, trace=trace)
@@ -342,66 +365,15 @@ class CommunixServer:
             # full disk would burn a user's whole daily allowance on
             # retries that stored nothing.
             log.exception("store append failed; ADD not acknowledged")
-            if self.config.require_token:
-                self.quota.refund(uid)
-            return self._rejected("store_error")
+            self.quota.refund(uid)
+            return self._rejected("store_error", counted)
         if timed:
             elapsed = perf_counter() - started
             self._h_db_append.record(elapsed, exemplar)
             if trace is not None:
                 trace.stamp(STAGE_DB_APPEND, elapsed)
-        self._counters.adds_accepted.add()
-        return AddOutcome(accepted=True, verdict="ok", index=index)
-
-    def process_forwarded_add(self, blob: bytes, uid: int,
-                              trace=None) -> AddOutcome:
-        """ADD forwarded over the internal endpoint by a federated replica
-        worker that already decoded the sender token to ``uid`` (see
-        :mod:`repro.server.federation`).
-
-        The log owner re-runs everything *global* — per-user quota,
-        adjacency, dedup, the durable append — plus the cheap local checks
-        (size, parse: the owner should not trust peers further than it
-        must).  Request accounting is deliberately skipped: the forwarding
-        worker already counted this ADD against its own client-facing
-        stats, and the coordinator sums those — counting here too would
-        double-book every forwarded request in the merged totals.
-        """
-        timed = self._obs_on or trace is not None
-        exemplar = trace.hex_id() if trace is not None else None
-        if len(blob) > self.config.max_signature_bytes:
-            return AddOutcome(accepted=False, verdict="oversized")
-        try:
-            signature = DeadlockSignature.from_bytes(blob, origin=ORIGIN_REMOTE)
-        except ValidationError:
-            return AddOutcome(accepted=False, verdict="malformed")
-        if self.config.require_token:
-            started = perf_counter() if timed else 0.0
-            verdict = self.validator.check_add_uid(signature, uid, trace)
-            if timed:
-                elapsed = perf_counter() - started
-                self._h_validate.record(elapsed, exemplar)
-                if trace is not None:
-                    trace.stamp(STAGE_VALIDATE, elapsed)
-            if (not self.config.adjacency_check
-                    and verdict is ServerVerdict.ADJACENT):
-                verdict = ServerVerdict.OK
-            if verdict is not ServerVerdict.OK:
-                return AddOutcome(accepted=False, verdict=verdict.value)
-        started = perf_counter() if timed else 0.0
-        try:
-            index = self.database.append(signature, blob, uid, trace=trace)
-        except (OSError, ValueError):
-            log.exception("store append failed; forwarded ADD not "
-                          "acknowledged")
-            if self.config.require_token:
-                self.quota.refund(uid)
-            return AddOutcome(accepted=False, verdict="store_error")
-        if timed:
-            elapsed = perf_counter() - started
-            self._h_db_append.record(elapsed, exemplar)
-            if trace is not None:
-                trace.stamp(STAGE_DB_APPEND, elapsed)
+        if counted:
+            self._counters.adds_accepted.add()
         return AddOutcome(accepted=True, verdict="ok", index=index)
 
     def _clamp_page(self, max_count: int) -> int:
@@ -456,8 +428,9 @@ class CommunixServer:
         self._counters.signatures_served.add(count)
         return next_index, count, chunks, more
 
-    def _rejected(self, verdict: str) -> AddOutcome:
-        self._counters.note_rejection(verdict)
+    def _rejected(self, verdict: str, counted: bool = True) -> AddOutcome:
+        if counted:
+            self._counters.note_rejection(verdict)
         return AddOutcome(accepted=False, verdict=verdict)
 
     # --------------------------------------------------------------- stats

@@ -4,7 +4,12 @@
 
 * **appends** go to the :class:`~repro.store.wal.SegmentedLog` (one record
   per *accepted, non-duplicate* signature, in database-index order — the
-  log is exactly the database's append history);
+  log is exactly the database's append history) along one path:
+  :meth:`~SignatureStore.stage_append` under the caller's lock,
+  :meth:`~SignatureStore.commit_staged` outside it (the group-committed
+  fsync under ``always``), then :meth:`~SignatureStore.maybe_checkpoint`.
+  :meth:`~SignatureStore.append` is those calls for a caller without a
+  lock of its own;
 * **checkpoints** snapshot the derived metadata (content hashes, top-frame
   locations, the per-user adjacency index, the next user id) into
   ``MANIFEST.json`` so a restart can load the checkpointed prefix without
@@ -41,9 +46,8 @@ from repro.store.checkpoint import (
 from repro.store.records import LogRecord
 from repro.store.wal import (
     DEFAULT_SEGMENT_RECORDS,
-    FsyncPolicy,
     SegmentedLog,
-    parse_fsync_policy,
+    check_fsync_policy,
 )
 from repro.util.errors import ValidationError
 from repro.util.logging import get_logger
@@ -72,12 +76,11 @@ class SignatureStore:
     """Open (recovering) a data directory; append; checkpoint; close."""
 
     def __init__(self, data_dir: str,
-                 fsync: str | FsyncPolicy = "always",
+                 fsync: str = "always",
                  segment_records: int = DEFAULT_SEGMENT_RECORDS,
-                 checkpoint_every: int = 0,
-                 group_commit: bool = True):
+                 checkpoint_every: int = 0):
         self.data_dir = data_dir
-        self.policy = parse_fsync_policy(fsync)
+        self.fsync_policy = check_fsync_policy(fsync)
         self.checkpoint_every = max(0, checkpoint_every)
         self._lock = threading.Lock()
         self._ckpt_lock = threading.Lock()  # one manifest writer at a time
@@ -107,9 +110,8 @@ class SignatureStore:
         try:
             self._log = SegmentedLog(data_dir,
                                      segment_records=segment_records,
-                                     fsync=self.policy,
-                                     trusted_records=trusted,
-                                     group_commit=group_commit)
+                                     fsync=self.fsync_policy,
+                                     trusted_records=trusted)
         except ValueError as exc:
             raise StoreError(str(exc)) from exc
         try:
@@ -126,7 +128,7 @@ class SignatureStore:
                 manifest = None
                 self._log = SegmentedLog(data_dir,
                                          segment_records=segment_records,
-                                         fsync=self.policy)
+                                         fsync=self.fsync_policy)
             self._checkpoint_count = manifest.record_count if manifest else 0
             # record_count of the on-disk full MANIFEST.json (the delta
             # chain's anchor); None forces the next checkpoint to write a
@@ -137,7 +139,7 @@ class SignatureStore:
                 self._log.recovered_records(), manifest
             )
         except Exception:
-            self._log.close()  # don't leak the fd / flusher thread
+            self._log.close()  # don't leak the fd
             raise
         if manifest:
             self._next_uid = max(self._next_uid, manifest.next_uid)
@@ -236,67 +238,47 @@ class SignatureStore:
                top_frames: frozenset, trace=None) -> int:
         """Log one accepted signature; returns its record index.
 
-        Under the ``always`` policy the record is fsynced before this
-        returns — the caller may ack the ADD the moment it does.
+        The same stage / commit / checkpoint calls the database makes, in
+        its order: under the ``always`` policy the record is fsynced
+        before this returns — the caller may ack the ADD the moment it
+        does.
         """
-        with self._lock:
-            index = self._stage_locked(blob, sig_id, sender_uid, top_frames)
-            # Back off after a failure: retry only once another
-            # checkpoint_every records accumulate, not on every append
-            # (the O(history) manifest build would otherwise run — and
-            # fail — on every single ADD while the disk is sick).
-            # With a metadata provider attached the cadence trigger moves
-            # to the provider (see maybe_checkpoint): at this point the
-            # database has not published the entry yet, so a checkpoint
-            # here would always run one record short.
-            due = self._provider is None and self._cadence_due_locked()
+        index = self.stage_append(blob, sig_id, sender_uid, top_frames)
         try:
-            self._log.commit_appended(index + 1, trace=trace)
+            self.commit_staged(index + 1, trace=trace)
         except OSError:
             # The record never became durable and the caller will treat
-            # this append as failed — undo it (log + mirrors, atomically
-            # w.r.t. other appends) so the layers stay in lockstep.  When
-            # the rollback is impossible (a wider group-commit batch, or
-            # a later append already landed) the record stays in the log
-            # unacked; the database reconciles around it.
+            # this append as failed — undo it (log + mirrors) so the
+            # layers stay in lockstep, when the log still can.
             self.rollback_staged(index)
             raise
-        if due:
-            self._cadence_checkpoint()
-        return index
-
-    def _stage_locked(self, blob: bytes, sig_id: str, sender_uid: int,
-                      top_frames: frozenset) -> int:
-        # Log write and metadata mirror under one lock, so concurrent
-        # appenders cannot interleave them: _sig_ids[i] always describes
-        # log record i (checkpoints depend on it).  Only the *write
-        # phase* happens here — the fsync (commit phase) runs outside
-        # this lock, so concurrent appends can share one group-committed
-        # flush instead of serializing on it.
-        index = self._log.append_unflushed(blob, sender_uid)
-        if self._provider is None:
-            self._sig_ids.append(sig_id)
-            self._top_frames.append(tuple(sorted(top_frames)))
-            self._uids.append(sender_uid)
-        self._next_uid = max(self._next_uid, sender_uid + 1)
+        self.maybe_checkpoint()
         return index
 
     def stage_append(self, blob: bytes, sig_id: str, sender_uid: int,
                      top_frames: frozenset) -> int:
-        """The write phase of :meth:`append` alone: buffer the record and
-        return its index — **no durability yet**.  For callers (the
-        database) that hold their own append lock and must not serialize
-        the fsync behind it: stage under the lock, then
-        :meth:`commit_staged` outside it (group-committed with every
-        other in-flight append), then publish; a failed commit goes
-        through :meth:`rollback_staged`."""
+        """The write phase: buffer the record and return its index — **no
+        durability yet**.  Callers that hold their own append lock (the
+        database) stage under it, then :meth:`commit_staged` outside it
+        (group-committed with every other in-flight append), then
+        publish; a failed commit goes through :meth:`rollback_staged`.
+
+        Log write and metadata mirror happen under one lock, so concurrent
+        appenders cannot interleave them: ``_sig_ids[i]`` always describes
+        log record ``i`` (checkpoints depend on it)."""
         with self._lock:
-            return self._stage_locked(blob, sig_id, sender_uid, top_frames)
+            index = self._log.append_unflushed(blob, sender_uid)
+            if self._provider is None:
+                self._sig_ids.append(sig_id)
+                self._top_frames.append(tuple(sorted(top_frames)))
+                self._uids.append(sender_uid)
+            self._next_uid = max(self._next_uid, sender_uid + 1)
+            return index
 
     def commit_staged(self, target: int, trace=None) -> None:
         """Block until the first ``target`` staged records are durable
-        (one group-committed fsync under ``always``; immediate under the
-        other policies)."""
+        (one group-committed fsync under ``always``; immediate under
+        ``never``)."""
         self._log.commit_appended(target, trace=trace)
 
     def rollback_staged(self, index: int) -> bool:
@@ -312,20 +294,24 @@ class SignatureStore:
                 del self._uids[index:]
             return rolled
 
-    def _cadence_due_locked(self) -> bool:
-        # Back off after a failure: retry only once another
-        # checkpoint_every records accumulate, not on every append
-        # (the O(history) manifest build would otherwise run — and
-        # fail — on every single ADD while the disk is sick).
-        watermark = max(self._checkpoint_count, self._ckpt_failed_at)
-        return bool(self.checkpoint_every
-                    and self._log.record_count - watermark
-                    >= self.checkpoint_every)
+    def maybe_checkpoint(self) -> None:
+        """Run a cadence checkpoint if ``checkpoint_every`` records have
+        accumulated since the last one.
 
-    def _cadence_checkpoint(self) -> None:
-        # Best-effort: the records being covered are already durable in
-        # the log; a failed manifest write must not turn an acked-able
-        # append into an error.  Restart just replays a longer tail.
+        Called once per committed append — by :meth:`append`, or by the
+        database right after it publishes the entry (the only moment both
+        layers agree on the full count).  Best-effort: the records being
+        covered are already durable in the log, so a failed manifest
+        write must not turn an ackable append into an error; restart just
+        replays a longer tail.  After a failure the next try waits for
+        another ``checkpoint_every`` records rather than rebuilding (and
+        failing) on every append while the disk is sick."""
+        with self._lock:
+            watermark = max(self._checkpoint_count, self._ckpt_failed_at)
+            if (not self.checkpoint_every
+                    or self._log.record_count - watermark
+                    < self.checkpoint_every):
+                return
         try:
             self.checkpoint()
         except OSError:
@@ -333,19 +319,6 @@ class SignatureStore:
                 self._ckpt_failed_at = self._log.record_count
             log.exception("checkpoint failed; continuing with the "
                           "previous manifest")
-
-    def maybe_checkpoint(self) -> None:
-        """Run a cadence checkpoint if one is due.
-
-        With a metadata provider attached, the provider (the database)
-        calls this right after publishing each appended entry — the only
-        moment both layers agree on the full count.  Without one,
-        :meth:`append` handles the cadence itself and this is a no-op.
-        """
-        with self._lock:
-            if self._provider is None or not self._cadence_due_locked():
-                return
-        self._cadence_checkpoint()
 
     def note_next_uid(self, next_uid: int) -> None:
         """Raise the uid watermark and persist it *eagerly* (called on
@@ -395,8 +368,7 @@ class SignatureStore:
         The count is snapshotted *before* the flush, so the checkpoint
         never vouches for a record the log has not made durable — an
         append that lands between the snapshot and the flush is simply
-        covered by the next checkpoint (matters under
-        ``interval``/``never``).
+        covered by the next checkpoint (matters under ``never``).
         """
         with self._ckpt_lock:  # one checkpoint writer at a time
             with self._lock:
@@ -454,8 +426,7 @@ class SignatureStore:
 
         The log closes even when the checkpoint fails (its close flushes
         what the manifest could not vouch for) — a failed final checkpoint
-        must not leak the tail handle and flusher thread or leave the
-        store half-open."""
+        must not leak the tail handle or leave the store half-open."""
         if self._log.closed:
             return
         try:
@@ -488,14 +459,6 @@ class SignatureStore:
         return self._log.fsyncs_issued
 
     @property
-    def group_commit(self) -> bool:
-        """Whether concurrent ``always`` appends may share one fsync.
-        The database checks this before taking its staged (three-phase)
-        append path — with it off, appends serialize fsync-per-record,
-        the measurement control for the batching win."""
-        return self._log.group_commit
-
-    @property
     def checkpoint_count(self) -> int:
         """Records covered by the newest durable checkpoint."""
         return self._checkpoint_count
@@ -503,7 +466,3 @@ class SignatureStore:
     @property
     def next_uid(self) -> int:
         return self._next_uid
-
-    @property
-    def fsync_policy(self) -> str:
-        return self.policy.spec()

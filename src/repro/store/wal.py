@@ -6,21 +6,23 @@ so segment *n* always holds records ``[n * segment_records,
 :class:`~repro.server.database.SignatureDatabase` segments, which keeps
 "replay segment file → rebuild database segment" a one-to-one walk.
 
-Durability is a pluggable **fsync policy** (:func:`parse_fsync_policy`):
+Every append takes one path in two phases: :meth:`append_unflushed`
+buffers the record under the append lock, :meth:`commit_appended` makes
+it durable outside that lock, and :meth:`rollback_appended` undoes it when
+the commit fails.  :meth:`append` is exactly those three calls.  What the
+commit does is the **fsync policy**, one of :data:`FSYNC_POLICIES`:
 
-* ``always`` — every append is flushed *and* fsynced before it returns;
-  an acked ADD survives ``kill -9``.  Concurrent appends **group-commit**:
+* ``always`` — no append returns before an fsync covers its record; an
+  acked ADD survives ``kill -9``.  Concurrent appends **group-commit**:
   the first thread to reach the commit phase becomes the batch leader and
   issues one fsync covering every record written so far; the others just
   wait for a leader whose fsync covers them.  One disk flush amortises
-  over the whole batch — the durability contract is unchanged (no append
-  returns before its record is on disk), only the fsync count drops.
-* ``interval:<ms>`` — a background flusher thread fsyncs the tail file
-  every ``<ms>`` milliseconds; a crash loses at most that window.
-* ``never`` — the OS decides; a clean :meth:`close` still flushes.
+  over the whole batch.
+* ``never`` — the commit is a no-op and the OS decides; a graceful drain,
+  a checkpoint and a clean :meth:`close` still flush and fsync.
 
-Sealed segments are flushed **and fsynced at rotation under every
-policy** — ``flush()`` and checkpoints only reach the current tail file,
+Sealed segments are flushed **and fsynced at rotation under both
+policies** — ``flush()`` and checkpoints only reach the current tail file,
 so rotation is the one moment a sealed segment can be made durable.
 
 Opening a directory recovers it: segment files are scanned in order, a
@@ -52,44 +54,15 @@ SEGMENT_SUFFIX = ".cxlog"
 _SEGMENT_RE = re.compile(r"^segment-(\d{8})\.cxlog$")
 
 FSYNC_ALWAYS = "always"
-FSYNC_INTERVAL = "interval"
 FSYNC_NEVER = "never"
+FSYNC_POLICIES = (FSYNC_ALWAYS, FSYNC_NEVER)
 
 
-@dataclass(frozen=True)
-class FsyncPolicy:
-    """A parsed fsync policy: ``mode`` plus the interval (seconds) when
-    ``mode == "interval"``."""
-
-    mode: str
-    interval_s: float = 0.0
-
-    def spec(self) -> str:
-        if self.mode == FSYNC_INTERVAL:
-            return f"interval:{int(self.interval_s * 1000)}"
-        return self.mode
-
-
-def parse_fsync_policy(spec: str | FsyncPolicy) -> FsyncPolicy:
-    """``"always"`` / ``"never"`` / ``"interval:<ms>"`` → policy object."""
-    if isinstance(spec, FsyncPolicy):
-        return spec
-    text = str(spec).strip().lower()
-    if text == FSYNC_ALWAYS:
-        return FsyncPolicy(FSYNC_ALWAYS)
-    if text == FSYNC_NEVER:
-        return FsyncPolicy(FSYNC_NEVER)
-    head, _, arg = text.partition(":")
-    if head == FSYNC_INTERVAL:
-        try:
-            millis = float(arg)
-        except ValueError:
-            millis = -1.0
-        if millis > 0:
-            return FsyncPolicy(FSYNC_INTERVAL, interval_s=millis / 1000.0)
-    raise ValueError(
-        f"bad fsync policy {spec!r} (want always, never, or interval:<ms>)"
-    )
+def check_fsync_policy(policy: str) -> str:
+    """``policy`` itself when it is one of :data:`FSYNC_POLICIES`."""
+    if policy not in FSYNC_POLICIES:
+        raise ValueError(f"bad fsync policy {policy!r} (want always or never)")
+    return policy
 
 
 def segment_filename(seq: int) -> str:
@@ -132,29 +105,23 @@ class SegmentedLog:
     """The durable byte layer: append records, rotate segments, recover.
 
     Thread safety: :meth:`append` may be called from many worker threads
-    (they serialize on an internal lock); the background flusher only ever
-    flushes the current tail file under that same lock.
+    (they serialize on an internal lock for the write phase and share
+    group-committed fsyncs for the commit phase).
     """
 
     def __init__(self, data_dir: str,
                  segment_records: int = DEFAULT_SEGMENT_RECORDS,
-                 fsync: str | FsyncPolicy = FSYNC_ALWAYS,
-                 trusted_records: int = 0,
-                 group_commit: bool = True):
+                 fsync: str = FSYNC_ALWAYS,
+                 trusted_records: int = 0):
         """``trusted_records`` is the checkpointed prefix length: records a
         durable manifest already vouches for skip CRC re-verification when
-        their segment is fully covered (framing is still parsed).
-
-        ``group_commit`` batches concurrent ``always`` appends into one
-        fsync (see the module docstring); disable it to get the original
-        one-fsync-per-append behaviour (the benchmark baseline)."""
+        their segment is fully covered (framing is still parsed)."""
         if segment_records < 1:
             raise ValueError("segment_records must be positive")
         self.data_dir = data_dir
         self.segment_records = segment_records
         self.trusted_records = max(0, trusted_records)
-        self.policy = parse_fsync_policy(fsync)
-        self.group_commit = bool(group_commit)
+        self.fsync_policy = check_fsync_policy(fsync)
         self.recovery = RecoveryReport()
         self._lock = threading.Lock()
         self._commit_lock = threading.Lock()  # group-commit leader election
@@ -164,20 +131,15 @@ class SegmentedLog:
         self._count = 0
         self._durable = 0  # records covered by a completed fsync
         self._fsyncs_issued = 0  # commit-phase fsyncs (batching visibility)
-        self._dirty = False  # bytes written since the last fsync
         self._last_pos = 0  # file offset of the newest record's start
         self._closed = False
         self._broken = False  # a failed write could not be rolled back
-        self._flusher: threading.Thread | None = None
-        self._flusher_stop = threading.Event()
         self._h_fsync = None  # stage.wal_fsync histogram (set_metrics)
         self._h_group = None  # stage.group_commit histogram (set_metrics)
         os.makedirs(data_dir, exist_ok=True)
         self._recovered = self._recover()
         self._durable = self._count  # everything recovered is on disk
         self._open_tail()
-        if self.policy.mode == FSYNC_INTERVAL:
-            self._start_flusher()
 
     # ------------------------------------------------------------- recovery
     def _recover(self) -> list[LogRecord]:
@@ -279,8 +241,8 @@ class SegmentedLog:
             fsync_dir(self.data_dir)  # the new file's dir entry is durable
 
     def _rotate_locked(self) -> None:
-        """Seal the full tail segment (flush + fsync, under *every*
-        policy: ``flush()``/checkpoints only ever touch the current tail,
+        """Seal the full tail segment (flush + fsync, under *both*
+        policies: ``flush()``/checkpoints only ever touch the current tail,
         so this is the one chance to make a sealed segment durable — one
         fsync per ``segment_records`` appends is cheap even for ``never``)
         and start the next one.  Ordered so any failure leaves the old
@@ -297,34 +259,39 @@ class SegmentedLog:
         self._file = new
         self._tail_seq = next_seq
         self._tail_records = 0
-        self._dirty = False
 
     def append(self, blob: bytes, sender_uid: int, trace=None) -> int:
         """Durably append one record; returns its log index.
 
-        All-or-nothing: on a disk error the partial write is rolled back
-        (file truncated to its pre-append length, buffer discarded) before
-        the ``OSError`` propagates, so the log's record count never runs
-        ahead of what the caller observed — a failed append changes
-        nothing.  If even the rollback fails the log marks itself broken
-        and every further append raises cleanly.
-
-        Under ``always`` with :attr:`group_commit` the write phase (under
-        the append lock) and the commit phase (leader-elected fsync) are
-        separate, so other threads keep buffering records while a batch
-        leader waits on the disk; no append returns before an fsync covers
-        its record.  When a group fsync fails with *several* records
+        The write phase, the commit phase, and on a failed commit the
+        rollback — the same three calls the store makes.  All-or-nothing
+        when this record is the only one the failed commit covered: it is
+        rolled back (file truncated to its pre-append length, buffer
+        discarded) before the ``OSError`` propagates, so a failed append
+        changes nothing.  When a group fsync fails with *several* records
         pending, none of the waiters ack (each surfaces the ``OSError``)
-        but the batch cannot be rolled back — a crash-restart may then
-        recover records that were never acked, which is safe: replay is
-        idempotent at the database layer (sig_id dedup) and an unacked ADD
+        but the batch cannot be unwound — a crash-restart may then recover
+        records that were never acked, which is safe: replay is idempotent
+        at the database layer (sig_id dedup) and an unacked ADD
         resurfacing is indistinguishable from a client retry.
         """
-        grouped = (self.policy.mode == FSYNC_ALWAYS and self.group_commit)
-        if grouped:
-            index, pos = self._write_phase(blob, sender_uid)
-            self._commit(index + 1, pos, trace)
-            return index
+        index = self.append_unflushed(blob, sender_uid)
+        try:
+            self.commit_appended(index + 1, trace)
+        except OSError:
+            self.rollback_appended(index)
+            raise
+        return index
+
+    def append_unflushed(self, blob: bytes, sender_uid: int) -> int:
+        """The write phase: buffer the record under the append lock and
+        return its index — **no durability yet** under either policy.
+        The caller must follow up with :meth:`commit_appended` (outside
+        any lock of its own) before acking; this is how the store keeps
+        its metadata mirror in index-lockstep with the log without
+        serializing group commits behind its lock.  A failed write is
+        rolled back here; if even that fails the log marks itself broken
+        and every further append raises cleanly."""
         record = pack_record(blob, sender_uid)
         with self._lock:
             if self._closed:
@@ -340,80 +307,28 @@ class SegmentedLog:
             pos = self._file.tell()
             try:
                 self._file.write(record)
-                if self.policy.mode == FSYNC_ALWAYS:
-                    histogram = self._h_fsync
-                    timed = histogram is not None or trace is not None
-                    started = perf_counter() if timed else 0.0
-                    self._file.flush()
-                    os.fsync(self._file.fileno())
-                    if timed:
-                        elapsed = perf_counter() - started
-                        if histogram is not None:
-                            histogram.record(elapsed)
-                        if trace is not None:
-                            trace.stamp(STAGE_WAL_FSYNC, elapsed)
-                    if index + 1 > self._durable:
-                        self._durable = index + 1
-                else:
-                    self._dirty = True
-            except OSError:
-                self._rollback(pos)
-                raise
-            self._count = index + 1
-            self._tail_records += 1
-        return index
-
-    def append_unflushed(self, blob: bytes, sender_uid: int) -> int:
-        """The write phase alone: buffer the record under the append lock
-        and return its index — **no durability yet** under any policy.
-        The caller must follow up with :meth:`commit_appended` (outside
-        any lock of its own) before acking; this is how the store keeps
-        its metadata mirror in index-lockstep with the log without
-        serializing group commits behind its lock."""
-        index, _pos = self._write_phase(blob, sender_uid)
-        return index
-
-    def commit_appended(self, target: int, trace=None) -> None:
-        """Make the first ``target`` records durable (group-committed
-        under ``always``; a no-op under ``interval``/``never``, same as
-        an inline append).  Unlike :meth:`append`, a failed fsync here
-        never rolls the record back — the caller's mirror already points
-        at it — so the record stays in the log unacked and the ``OSError``
-        propagates (see :meth:`append` on why that is safe)."""
-        if self.policy.mode != FSYNC_ALWAYS:
-            return
-        self._commit(target, None, trace)
-
-    def _write_phase(self, blob: bytes, sender_uid: int) -> tuple[int, int]:
-        record = pack_record(blob, sender_uid)
-        with self._lock:
-            if self._closed:
-                raise ValueError("log is closed")
-            if self._broken:
-                raise OSError("log failed a write and could not roll back; "
-                              "restart to recover")
-            if self._tail_records >= self.segment_records:
-                self._rotate_locked()
-            index = self._count
-            pos = self._file.tell()
-            try:
-                self._file.write(record)
-                self._dirty = True
             except OSError:
                 self._rollback(pos)
                 raise
             self._count = index + 1
             self._tail_records += 1
             self._last_pos = pos
-        return index, pos
+        return index
+
+    def commit_appended(self, target: int, trace=None) -> None:
+        """The commit phase: make the first ``target`` records durable
+        (group-committed under ``always``, a no-op under ``never``).  A
+        failed fsync leaves the record in the log; the caller decides
+        whether :meth:`rollback_appended` can take it back out."""
+        if self.fsync_policy == FSYNC_ALWAYS:
+            self._commit(target, trace)
 
     def rollback_appended(self, index: int) -> bool:
         """Best-effort undo of record ``index`` after its commit phase
-        failed, for callers (the store) whose bookkeeping must stay in
-        index-lockstep with the log.  Succeeds only when the record is
-        still the newest one and no fsync covered it — otherwise the log
-        is left untouched and ``False`` says "the record stays; reconcile
-        around it"."""
+        failed, for callers whose bookkeeping must stay in index-lockstep
+        with the log.  Succeeds only when the record is still the newest
+        one and no fsync covered it — otherwise the log is left untouched
+        and ``False`` says "the record stays; reconcile around it"."""
         with self._lock:
             if (self._closed or self._broken or self._count != index + 1
                     or self._durable > index):
@@ -427,17 +342,14 @@ class SegmentedLog:
             return True
 
     # --------------------------------------------------------- group commit
-    def _commit(self, target: int, pos: int | None, trace) -> None:
+    def _commit(self, target: int, trace) -> None:
         """Block until an fsync covers the first ``target`` records.
 
         Exactly one thread holds the commit lock at a time; whoever gets
         it while ``target`` is still uncovered becomes the batch leader
         and fsyncs everything written so far.  Later appenders queueing on
         the lock usually find their record already covered and return
-        without touching the disk — that wait *is* the group commit.
-        ``pos`` is the record's pre-append file offset, used to roll back
-        when the failed batch contains only this record (keeping the
-        single-writer all-or-nothing contract intact)."""
+        without touching the disk — that wait *is* the group commit."""
         histogram = self._h_fsync
         timed = histogram is not None or trace is not None
         started = perf_counter() if timed else 0.0
@@ -453,7 +365,7 @@ class SegmentedLog:
                 if trace is not None:
                     trace.stamp(STAGE_GROUP_COMMIT, lock_wait)
             if self._durable < target:
-                self._fsync_batch_commit_locked(target, pos)
+                self._fsync_batch_commit_locked()
         if timed:
             elapsed = perf_counter() - started
             if histogram is not None:
@@ -461,7 +373,7 @@ class SegmentedLog:
             if trace is not None:
                 trace.stamp(STAGE_WAL_FSYNC, elapsed)
 
-    def _fsync_batch_commit_locked(self, target: int, pos: int | None) -> None:
+    def _fsync_batch_commit_locked(self) -> None:
         """Leader path: flush the tail under the append lock, then fsync a
         dup of its descriptor *outside* it so concurrent appends keep
         buffering.  The dup keeps the open file description alive even if
@@ -479,38 +391,13 @@ class SegmentedLog:
                 covered = self._count
                 self._file.flush()
                 fd = os.dup(self._file.fileno())
-                self._dirty = False
             os.fsync(fd)
             self._fsyncs_issued += 1
-        except OSError:
-            self._abort_batch(target, pos)
-            raise
         finally:
             if fd >= 0:
                 os.close(fd)
         if covered > self._durable:
             self._durable = covered
-
-    def _abort_batch(self, target: int, pos: int | None) -> None:
-        """A group fsync failed.  If the batch held exactly the leader's
-        own record, roll it back (truncate to ``pos``, undo the counters)
-        so the failed append leaves no trace — the same contract as the
-        non-grouped path.  A wider batch cannot be unwound record by
-        record: leave the log as-is and let every uncovered waiter surface
-        the error itself (none of them ack).  ``pos`` of ``None`` means
-        the caller's bookkeeping already references the record
-        (:meth:`commit_appended`) — never roll back then."""
-        if pos is None:
-            return
-        with self._lock:
-            sole = (self._count == target and self._durable == target - 1)
-            if not sole or self._broken or self._closed:
-                return
-            self._rollback(pos)
-            if not self._broken:
-                self._count = target - 1
-                if self._tail_records > 0:
-                    self._tail_records -= 1
 
     def set_metrics(self, metrics) -> None:
         """Record fsync waits into the registry's ``stage.wal_fsync``
@@ -530,7 +417,7 @@ class SegmentedLog:
         splicing garbage mid-log.
 
         If the close-time flush *also* fails, earlier buffered records
-        (acked under ``interval``/``never``) never reached the disk: the
+        (acked under ``never``) never reached the disk: the
         file is shorter than ``pos`` and truncating to ``pos`` would
         zero-fill a hole that poisons every later record.  There is no
         consistent state to continue from, so the log marks itself broken
@@ -570,36 +457,12 @@ class SegmentedLog:
         os.fsync(self._file.fileno())
         if histogram is not None:
             histogram.record(perf_counter() - started)
-        self._dirty = False
         if self._count > self._durable:
             self._durable = self._count
 
-    # ------------------------------------------------------------- flusher
-    def _start_flusher(self) -> None:
-        self._flusher_stop.clear()
-        self._flusher = threading.Thread(
-            target=self._flusher_run, name="communix-wal-flusher", daemon=True
-        )
-        self._flusher.start()
-
-    def _flusher_run(self) -> None:
-        while not self._flusher_stop.wait(self.policy.interval_s):
-            with self._lock:
-                if self._closed:
-                    return
-                if self._dirty:
-                    try:
-                        self._flush_locked()
-                    except OSError:  # pragma: no cover - disk went away
-                        log.exception("background fsync failed")
-
     # -------------------------------------------------------------- closing
     def close(self) -> None:
-        """Stop the flusher, flush + fsync the tail, release the handle."""
-        if self._flusher is not None:
-            self._flusher_stop.set()
-            self._flusher.join(timeout=5.0)
-            self._flusher = None
+        """Flush + fsync the tail and release the handle."""
         with self._lock:
             if self._closed:
                 return

@@ -1,5 +1,7 @@
 """CLI smoke tests: the server and client entry points as real processes."""
 
+import dataclasses
+import signal
 import subprocess
 import sys
 import time
@@ -7,6 +9,8 @@ import time
 import pytest
 
 from repro.client.endpoints import SocketEndpoint
+from repro.server import federation
+from repro.server.__main__ import build_parser, config_from_args
 
 
 @pytest.fixture
@@ -153,6 +157,98 @@ class TestServerCli:
         while os.path.exists(sock_path) and time.monotonic() < deadline:
             time.sleep(0.05)
         assert not os.path.exists(sock_path)
+
+    def test_removed_interval_fsync_policy_exits_2(self):
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.server", "--fsync", "interval:50"],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert completed.returncode == 2
+        assert "invalid choice: 'interval:50'" in completed.stderr
+
+
+def _sigterm_at_readiness(*argv: str) -> tuple[int, str]:
+    """Start ``python -m repro.server``, SIGTERM it the moment the
+    readiness line is read, and return its exit code and the rest of its
+    output."""
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "repro.server", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+    try:
+        while True:
+            line = proc.stdout.readline()
+            assert line, f"server exited before readiness (rc={proc.wait()})"
+            if line.startswith("communix-server listening on"):
+                break
+        proc.send_signal(signal.SIGTERM)
+        out, _ = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:  # pragma: no cover - failed test path
+            proc.kill()
+            proc.wait(timeout=10)
+    return proc.returncode, out
+
+
+class TestSignalAtReadiness:
+    """The SIGTERM/SIGINT handlers are installed before the readiness
+    line is printed, so a signal sent the instant it appears drains."""
+
+    def test_single_process_drains(self, tmp_path):
+        for run in range(5):
+            rc, out = _sigterm_at_readiness(
+                "--addr", "tcp://127.0.0.1:0",
+                "--data-dir", str(tmp_path / f"data-{run}"))
+            assert rc == 0, out
+            assert ("served 0 adds, 0 gets; database holds 0 signatures "
+                    "(0 durable, checkpointed at 0)") in out
+
+    def test_federation_drains(self, tmp_path):
+        rc, out = _sigterm_at_readiness(
+            "--server-procs", "2",
+            "--addr", f"unix://{tmp_path / 'fed.sock'}",
+            "--data-dir", str(tmp_path / "data"))
+        assert rc == 0, out
+        assert ("served 0 adds, 0 gets; database holds 0 signatures "
+                "(0 durable, checkpointed at 0)") in out
+
+
+class TestConfigFromArgs:
+    def test_workers_map_argv_like_the_single_process_server(
+            self, tmp_path, monkeypatch):
+        """Every federation worker re-parses the argv the coordinator
+        builds for it; through the one mapping that must give the
+        single-process config, minus the data dir on replicas."""
+        args = build_parser().parse_args([
+            "--server-procs", "2", "--quota-per-day", "7",
+            "--no-adjacency-check", "--data-dir", str(tmp_path),
+            "--fsync", "never", "--checkpoint-every", "9",
+            "--crypto-backend", "pure", "--token-cache-size", "5",
+            "--no-metrics", "--slow-request-ms", "3.5", "--guard",
+            "--guard-budget", "11", "--guard-window", "2.5",
+            "--guard-tarpit", "0.5", "--trace-buffer", "4",
+        ])
+        single = config_from_args(args)
+        commands = []
+
+        class CapturingPopen:
+            def __init__(self, command, **kwargs):
+                commands.append(command)
+
+        monkeypatch.setattr(federation.subprocess, "Popen", CapturingPopen)
+        for index in (0, 1):
+            federation._spawn_worker(index, args, [], [], "unix://@repl")
+        for index, command in enumerate(commands):
+            argv = command[command.index("repro.server") + 1:]
+            worker_args = build_parser().parse_args(argv)
+            assert worker_args.federation_worker == index
+            expected = (dataclasses.replace(single, data_dir=None)
+                        if index else single)
+            assert config_from_args(worker_args) == expected
 
 
 class TestFalsePositiveUserActions:

@@ -13,7 +13,7 @@ from repro.server.protocol import (
     read_frame,
     write_frame,
 )
-from repro.server.server import CommunixServer, ServerConfig
+from repro.server.server import CommunixServer
 from repro.server.transport import ServerTransport
 from repro.util.clock import ManualClock
 from repro.util.encoding import canonical_json, from_canonical_json
@@ -51,14 +51,14 @@ class TestDecodeGetArgs:
 
 class TestServerCoreChecks:
     def test_non_integer_from_index_raises_protocol_error(self):
-        server = CommunixServer(config=ServerConfig(require_token=False))
+        server = CommunixServer()
         with pytest.raises(ProtocolError, match="from_index"):
             server.process_get_page("3", 10)
         with pytest.raises(ProtocolError, match="from_index"):
             server.process_get_wire(2.5, 10)
 
     def test_negative_from_index_still_clamped_for_direct_callers(self):
-        server = CommunixServer(config=ServerConfig(require_token=False))
+        server = CommunixServer()
         next_index, blobs, more = server.process_get_page(-5, 10)
         assert (next_index, blobs, more) == (0, [], False)
 

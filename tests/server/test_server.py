@@ -151,12 +151,3 @@ class TestGet:
         assert server.stats.adds_accepted == 1
         assert server.stats.gets_served == 2
         assert server.stats.signatures_served == 2
-
-
-class TestTokenlessMode:
-    def test_require_token_false_accepts_anything(self, manual_clock, shared_factory):
-        server = CommunixServer(
-            config=ServerConfig(require_token=False), clock=manual_clock
-        )
-        outcome = server.process_add(shared_factory.make_valid().to_bytes(), "")
-        assert outcome.accepted

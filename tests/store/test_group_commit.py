@@ -3,8 +3,9 @@
 The ``always`` policy's contract is unchanged — no append returns before
 an fsync covers its record — but concurrent appends share flushes instead
 of issuing one each.  These tests pin the split write/commit API the
-store uses, the batching itself, and the failure contract (a failed
-group fsync acks nobody and rolls back when the batch was a single
+store uses (``append`` is exactly that API: write phase, commit phase,
+rollback on failure), the batching itself, and the failure contract (a
+failed group fsync acks nobody and rolls back when the batch was a single
 record).
 """
 
@@ -40,28 +41,19 @@ class TestSplitApi:
         assert log.fsyncs_issued == 1
         log.close()
 
-    def test_commit_is_noop_under_interval_and_never(self, tmp_path):
-        for policy in ("never", "interval:5000"):
-            directory = tmp_path / policy.replace(":", "-")
-            log = SegmentedLog(str(directory), fsync=policy)
-            index = log.append_unflushed(b"x", 1)
-            log.commit_appended(index + 1)
-            assert log.fsyncs_issued == 0
-            log.close()
+    def test_commit_is_noop_under_never(self, tmp_path):
+        log = SegmentedLog(str(tmp_path), fsync="never")
+        index = log.append_unflushed(b"x", 1)
+        log.commit_appended(index + 1)
+        assert log.fsyncs_issued == 0
+        assert log.durable_count == 0
+        log.close()
 
     def test_plain_append_still_durable_before_return(self, tmp_path):
         log = SegmentedLog(str(tmp_path), fsync="always")
         log.append(b"x", 1)
         assert log.durable_count == 1
-        log.close()
-
-    def test_group_commit_can_be_disabled(self, tmp_path):
-        log = SegmentedLog(str(tmp_path), fsync="always", group_commit=False)
-        log.append(b"x", 1)
-        # The inline (non-grouped) path fsyncs without the commit-phase
-        # counter: batching visibly off.
-        assert log.durable_count == 1
-        assert log.fsyncs_issued == 0
+        assert log.fsyncs_issued == 1  # the group-commit fsync, no inline one
         log.close()
 
 
@@ -77,7 +69,7 @@ class TestConcurrentBatching:
         staged = threading.Semaphore(0)
         records_at_fsync = []
         real_fsync = os.fsync
-        write_phase = log._write_phase
+        write_phase = log.append_unflushed
 
         def counting_write_phase(blob, sender_uid):
             result = write_phase(blob, sender_uid)
@@ -92,7 +84,7 @@ class TestConcurrentBatching:
                     assert staged.acquire(timeout=30.0)
             real_fsync(fd)
 
-        monkeypatch.setattr(log, "_write_phase", counting_write_phase)
+        monkeypatch.setattr(log, "append_unflushed", counting_write_phase)
         monkeypatch.setattr(os, "fsync", gated_fsync)
         errors = []
 

@@ -1,17 +1,12 @@
 """Segmented log: rotation, fsync policies, and crash recovery."""
 
 import os
-import time
 
 import pytest
 
+from repro.store import SignatureStore
 from repro.store.records import pack_record
-from repro.store.wal import (
-    SegmentedLog,
-    list_segments,
-    parse_fsync_policy,
-    segment_filename,
-)
+from repro.store.wal import SegmentedLog, list_segments, segment_filename
 
 
 def _fill(log, n, start=0):
@@ -20,28 +15,32 @@ def _fill(log, n, start=0):
 
 
 class TestFsyncPolicy:
-    def test_parse_always_never(self):
-        assert parse_fsync_policy("always").mode == "always"
-        assert parse_fsync_policy("never").mode == "never"
-        assert parse_fsync_policy("ALWAYS").mode == "always"
-
-    def test_parse_interval(self):
-        policy = parse_fsync_policy("interval:250")
-        assert policy.mode == "interval"
-        assert policy.interval_s == pytest.approx(0.25)
-        assert policy.spec() == "interval:250"
+    def test_parse_always_never(self, tmp_path):
+        for policy in ("always", "never"):
+            log = SegmentedLog(str(tmp_path / policy), fsync=policy)
+            assert log.fsync_policy == policy
+            log.close()
 
     @pytest.mark.parametrize("bad", ["", "sometimes", "interval",
                                      "interval:", "interval:-5",
                                      "interval:zero", "intervalgarbage:50",
                                      "interval_flush:50", "always:5"])
-    def test_parse_rejects(self, bad):
-        with pytest.raises(ValueError):
-            parse_fsync_policy(bad)
+    def test_parse_rejects(self, tmp_path, bad):
+        with pytest.raises(ValueError, match="always or never"):
+            SegmentedLog(str(tmp_path), fsync=bad)
 
-    def test_policy_objects_pass_through(self):
-        policy = parse_fsync_policy("never")
-        assert parse_fsync_policy(policy) is policy
+    def test_store_rejects_the_removed_interval_policy(self, tmp_path):
+        with pytest.raises(ValueError, match="always or never"):
+            SignatureStore(str(tmp_path / "data"), fsync="interval:5")
+        assert not (tmp_path / "data").exists()  # rejected before any I/O
+
+    def test_explicit_flush_any_policy(self, tmp_path):
+        log = SegmentedLog(str(tmp_path), fsync="never")
+        log.append(b"payload", 1)
+        assert log.durable_count == 0  # never: the append promised nothing
+        log.flush()
+        assert log.durable_count == log.record_count == 1
+        log.close()
 
 
 class TestRotation:
@@ -203,21 +202,3 @@ class TestFailedAppendRollback:
         ]
         assert reopened.recovery.truncated_bytes == 0
         reopened.close()
-
-
-class TestIntervalFlusher:
-    def test_background_flush_clears_dirty(self, tmp_path):
-        log = SegmentedLog(str(tmp_path), fsync="interval:20")
-        log.append(b"payload", 1)
-        deadline = time.monotonic() + 2.0
-        while log._dirty and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert not log._dirty, "flusher never ran"
-        log.close()
-
-    def test_explicit_flush_any_policy(self, tmp_path):
-        log = SegmentedLog(str(tmp_path), fsync="never")
-        log.append(b"payload", 1)
-        log.flush()
-        assert not log._dirty
-        log.close()
