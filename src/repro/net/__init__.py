@@ -12,15 +12,11 @@ from repro.net.endpoints import (
     DEFAULT_TCP_HOST,
     Endpoint,
     EndpointError,
-    adopt_listener,
     cleanup_listener,
     create_dial_socket,
     dial,
     listen,
     parse_endpoint,
-    recv_listener_fd,
-    reserve_tcp_port,
-    send_listener_fd,
     tcp_endpoint,
     unix_endpoint,
 )
@@ -30,15 +26,11 @@ __all__ = [
     "DEFAULT_TCP_HOST",
     "Endpoint",
     "EndpointError",
-    "adopt_listener",
     "cleanup_listener",
     "create_dial_socket",
     "dial",
     "listen",
     "parse_endpoint",
-    "recv_listener_fd",
-    "reserve_tcp_port",
-    "send_listener_fd",
     "tcp_endpoint",
     "unix_endpoint",
 ]

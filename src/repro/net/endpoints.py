@@ -11,11 +11,8 @@ small URLs.  A URL is the only spelling:
   filesystem entry, auto-cleaned by the kernel).
 
 UNIX transport matters for the Fig. 2 sweep: loopback TCP pays per-packet
-protocol overhead and, more importantly, the 20k-FD container cap is per
-*process* — a federated server's workers share one socket path with no
-port arithmetic, and the stale-file handling here makes
-rebinding after a crash safe (a dead socket file is removed, a live one is
-refused).
+protocol overhead, and the stale-file handling here makes rebinding after
+a crash safe (a dead socket file is removed, a live one is refused).
 """
 
 from __future__ import annotations
@@ -190,30 +187,18 @@ def _remove_stale_socket_file(path: str) -> None:
         probe.close()
 
 
-def listen(endpoint, backlog: int = 512,
-           reuse_port: bool = False) -> tuple[socket.socket, Endpoint]:
+def listen(endpoint, backlog: int = 512) -> tuple[socket.socket, Endpoint]:
     """A non-blocking listener on ``endpoint``.
 
     Returns ``(socket, bound_endpoint)`` where the bound endpoint carries
     the kernel-assigned port for ``tcp://host:0``.  UNIX endpoints get the
     stale-socket-file treatment described above.
-
-    ``reuse_port`` sets ``SO_REUSEPORT`` on TCP listeners so several
-    processes can each bind the same address and share the accept load
-    (the federated server tier's worker processes); the kernel spreads
-    incoming connections across every listening socket in the group.
     """
     endpoint = parse_endpoint(endpoint)
     sock = socket.socket(endpoint.family, socket.SOCK_STREAM)
     try:
         if endpoint.is_tcp:
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            if reuse_port:
-                if not hasattr(socket, "SO_REUSEPORT"):  # pragma: no cover
-                    raise EndpointError(
-                        "SO_REUSEPORT unsupported on this platform"
-                    )
-                sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
         elif not endpoint.is_abstract:
             _remove_stale_socket_file(endpoint.path)
         try:
@@ -228,66 +213,6 @@ def listen(endpoint, backlog: int = 512,
     if endpoint.is_tcp:
         endpoint = endpoint.with_port(sock.getsockname()[1])
     return sock, endpoint
-
-
-def reserve_tcp_port(endpoint: Endpoint) -> tuple[socket.socket, Endpoint]:
-    """Resolve and hold a TCP port for an ``SO_REUSEPORT`` listener group
-    without receiving any traffic.
-
-    The returned socket is *bound but never listening*: it pins the
-    (possibly kernel-assigned) port so every worker process can bind the
-    same resolved endpoint with ``reuse_port=True``, while incoming SYNs
-    only ever land on sockets that actually listen.  The coordinator keeps
-    it open for the group's lifetime, so the port cannot be lost to
-    another process while workers restart.
-    """
-    if not endpoint.is_tcp:
-        raise EndpointError(f"cannot reserve a port for {endpoint}")
-    if not hasattr(socket, "SO_REUSEPORT"):  # pragma: no cover - non-Linux
-        raise EndpointError("SO_REUSEPORT unsupported on this platform")
-    sock = socket.socket(endpoint.family, socket.SOCK_STREAM)
-    try:
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        try:
-            sock.bind(endpoint.sockaddr())
-        except OSError as exc:
-            raise EndpointError(f"cannot bind {endpoint}: {exc}") from exc
-    except Exception:
-        sock.close()
-        raise
-    return sock, endpoint.with_port(sock.getsockname()[1])
-
-
-def adopt_listener(fd: int, endpoint: Endpoint) -> socket.socket:
-    """Wrap a listening descriptor received from another process (the
-    coordinator binds ``unix://`` endpoints and hands the FD to each
-    worker over ``SCM_RIGHTS``) as a non-blocking socket object."""
-    sock = socket.socket(fileno=fd)
-    sock.setblocking(False)
-    return sock
-
-
-def send_listener_fd(channel: socket.socket, endpoint: Endpoint,
-                     fd: int) -> None:
-    """Pass one listening FD over a UNIX socketpair via ``SCM_RIGHTS``.
-
-    The payload names the endpoint the FD serves, so the receiver can
-    match FDs to its ``--addr`` list without relying on arrival order
-    alone."""
-    socket.send_fds(channel, [endpoint.url().encode("utf-8")], [fd])
-
-
-def recv_listener_fd(channel: socket.socket) -> tuple[str, int]:
-    """Receive one ``(endpoint_url, fd)`` pair sent by
-    :func:`send_listener_fd`; raises :class:`EndpointError` if the peer
-    closed the channel or sent no descriptor."""
-    data, fds, _flags, _addr = socket.recv_fds(channel, 1024, 1)
-    if not data or not fds:
-        for fd in fds:
-            os.close(fd)
-        raise EndpointError("listener FD channel closed prematurely")
-    return data.decode("utf-8"), fds[0]
 
 
 def cleanup_listener(endpoint: Endpoint) -> None:

@@ -40,17 +40,13 @@ from repro.obs.registry import (
 )
 from repro.obs.trace import (
     ALL_STAGES,
-    STAGE_APPLY_LAG,
     STAGE_CRYPTO,
     STAGE_DB_APPEND,
     STAGE_DB_READ,
     STAGE_FLUSH,
     STAGE_GROUP_COMMIT,
-    STAGE_GUARD_CHECK,
     STAGE_HANDLER,
-    STAGE_OWNER_QUEUE,
     STAGE_QUEUE_WAIT,
-    STAGE_REPL_FORWARD,
     STAGE_VALIDATE,
     STAGE_WAL_FSYNC,
     RequestTrace,
@@ -62,7 +58,6 @@ from repro.obs.trace import (
 )
 from repro.obs.export import (
     MetricsLogWriter,
-    last_snapshot_line,
     merge_registry_snapshots,
     metric_name,
     render_prometheus,
@@ -78,17 +73,13 @@ __all__ = [
     "NULL_REGISTRY",
     "NullRegistry",
     "RequestTrace",
-    "STAGE_APPLY_LAG",
     "STAGE_CRYPTO",
     "STAGE_DB_APPEND",
     "STAGE_DB_READ",
     "STAGE_FLUSH",
     "STAGE_GROUP_COMMIT",
-    "STAGE_GUARD_CHECK",
     "STAGE_HANDLER",
-    "STAGE_OWNER_QUEUE",
     "STAGE_QUEUE_WAIT",
-    "STAGE_REPL_FORWARD",
     "STAGE_VALIDATE",
     "STAGE_WAL_FSYNC",
     "ShardedCounter",
@@ -99,7 +90,6 @@ __all__ = [
     "decode_trace_stages",
     "encode_trace_stages",
     "format_trace_id",
-    "last_snapshot_line",
     "merge_registry_snapshots",
     "metric_name",
     "mint_trace_id",

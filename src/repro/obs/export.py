@@ -73,40 +73,19 @@ def _fmt(value: float) -> str:
 def merge_registry_snapshots(snapshots) -> dict:
     """Fold several ``MetricsRegistry.snapshot()`` dicts into one.
 
-    The federated server tier runs one registry per worker process; the
-    coordinator merges them so the combined ``--metrics-log`` line (and
-    the final stats print) describes the whole tier.  Counters and gauges
-    sum by name — for additive gauges (queue depths, connection counts)
-    that is the pooled value; replicated gauges like ``db.size`` read as
-    ``procs × size`` and callers that care overwrite them from one
-    authoritative worker.  Histograms fold with :meth:`Histogram.merge`,
-    so percentiles of the merged histogram equal percentiles of the
-    pooled samples.
+    For callers holding one registry per process that want a single
+    snapshot of the whole set.  Counters and gauges sum by name — for
+    additive gauges (queue depths, connection counts) that is the pooled
+    value.  Histograms fold with :meth:`Histogram.merge`, so percentiles
+    of the merged histogram equal percentiles of the pooled samples.
+    ``None`` and empty snapshots are skipped.
     """
     counters: dict[str, int] = {}
     gauges: dict[str, float] = {}
     histograms: dict[str, Histogram] = {}
-    sketches: dict[str, dict] = {}
-    have_sketches = False
     for snapshot in snapshots:
         if not snapshot:
             continue
-        for name, wire in snapshot.get("sketches", {}).items():
-            have_sketches = True
-            held = sketches.get(name)
-            if held is None:
-                sketches[name] = wire
-                continue
-            # Lazy import: obs must stay importable without the guard
-            # package in degenerate environments, and guard imports obs.
-            from repro.guard.sketch import merge_sketch_wire
-
-            try:
-                sketches[name] = merge_sketch_wire(held, wire)
-            except ValueError:
-                # Geometry mismatch (heterogeneous worker configs): keep
-                # the first rather than poisoning the whole merge.
-                continue
         for name, value in snapshot.get("counters", {}).items():
             counters[name] = counters.get(name, 0) + int(value)
         for name, value in snapshot.get("gauges", {}).items():
@@ -115,16 +94,12 @@ def merge_registry_snapshots(snapshots) -> dict:
             histograms.setdefault(name, Histogram()).merge(
                 Histogram.from_wire(wire)
             )
-    merged = {
+    return {
         "counters": {name: counters[name] for name in sorted(counters)},
         "gauges": {name: gauges[name] for name in sorted(gauges)},
         "histograms": {name: histograms[name].to_wire()
                        for name in sorted(histograms)},
     }
-    if have_sketches:
-        merged["sketches"] = {name: sketches[name]
-                              for name in sorted(sketches)}
-    return merged
 
 
 class MetricsLogWriter:
@@ -176,26 +151,3 @@ class MetricsLogWriter:
                     "further failures on obs.log_write_errors",
                     self._path, exc,
                 )
-
-
-def last_snapshot_line(path: str) -> dict | None:
-    """Parse the last JSONL line of a ``--metrics-log`` file, if any.
-
-    Shared by the benchmarks that attach a server-metrics section to
-    their artifacts.
-    """
-    last = None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    last = line
-    except OSError:
-        return None
-    if last is None:
-        return None
-    try:
-        return json.loads(last)
-    except ValueError:
-        return None

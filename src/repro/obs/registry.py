@@ -132,7 +132,6 @@ class MetricsRegistry:
         self._histograms: dict[str, StageHistogram] = {}
         self._derived_counters: dict[str, Callable[[], int]] = {}
         self._derived_gauges: dict[str, Callable[[], float]] = {}
-        self._sketches: dict[str, Callable[[], dict]] = {}
 
     def counter(self, name: str) -> ShardedCounter:
         try:
@@ -163,16 +162,6 @@ class MetricsRegistry:
         with self._lock:
             self._derived_gauges[name] = fn
 
-    def register_sketch(self, name: str, fn: Callable[[], dict]) -> None:
-        """Attach a frequency-sketch export (``repro.guard``): ``fn``
-        returns the sketch's wire dict.  Sketches ride the snapshot in a
-        ``sketches`` section (present only when any are registered, so
-        snapshot shapes stay unchanged for sketch-free servers) and
-        ``merge_registry_snapshots`` pools them exactly across federated
-        workers."""
-        with self._lock:
-            self._sketches[name] = fn
-
     def snapshot(self) -> dict:
         """One coherent dict of every instrument, ready for JSON.
 
@@ -199,20 +188,11 @@ class MetricsRegistry:
             name: hist.to_wire()
             for name, hist in sorted(self._histograms.items())
         }
-        result = {
+        return {
             "counters": counters,
             "gauges": gauges,
             "histograms": histograms,
         }
-        if self._sketches:
-            sketches: dict[str, dict] = {}
-            for name, fn in sorted(self._sketches.items()):
-                try:
-                    sketches[name] = fn()
-                except Exception:
-                    continue
-            result["sketches"] = sketches
-        return result
 
 
 class NullRegistry:
@@ -237,9 +217,6 @@ class NullRegistry:
         pass
 
     def register_gauge(self, name: str, fn: Callable[[], float]) -> None:
-        pass
-
-    def register_sketch(self, name: str, fn: Callable[[], dict]) -> None:
         pass
 
     def snapshot(self) -> dict:

@@ -7,20 +7,17 @@ slow-request log is armed (``--slow-request-ms``) or metrics are on;
 the always-on per-stage *histograms* live in the registry and don't
 need one, but they borrow the trace's id as a per-bucket exemplar.
 
-Since the federated tier (PR 8) a single ADD can cross a process
-boundary: the replica mints a trace id, carries it on the forward hop,
-and the owner stamps its stages on *the same* id; the durability reply
-ships the owner-side stamps back (:func:`encode_trace_stages` /
-:func:`decode_trace_stages`) so the replica folds them into one trace.
-
 Stage names are shared constants so histogram names, trace keys, and the
 docs' stage diagram can never drift apart:
 
-    queue_wait -> guard_check -> validate (crypto on cache miss)
-    -> repl_forward (replica->owner hop; owner_queue inside)
+    queue_wait -> validate (crypto on cache miss)
     -> db_append (wal_fsync inside; group_commit is the leader wait)
     -> handler (end-to-end dispatch) -> flush
-    apply_lag rides the apply stream, not the request path.
+    db_read replaces validate + db_append on a GET.
+
+A trace's stamps can cross a process boundary as bytes
+(:func:`encode_trace_stages` / :func:`decode_trace_stages`) and fold
+into a trace preseeded with the same id (:meth:`RequestTrace.merge_stages`).
 """
 
 from __future__ import annotations
@@ -33,18 +30,14 @@ import threading
 
 __all__ = [
     "STAGE_QUEUE_WAIT",
-    "STAGE_GUARD_CHECK",
     "STAGE_VALIDATE",
     "STAGE_CRYPTO",
-    "STAGE_REPL_FORWARD",
-    "STAGE_OWNER_QUEUE",
     "STAGE_DB_APPEND",
     "STAGE_DB_READ",
     "STAGE_WAL_FSYNC",
     "STAGE_GROUP_COMMIT",
     "STAGE_HANDLER",
     "STAGE_FLUSH",
-    "STAGE_APPLY_LAG",
     "ALL_STAGES",
     "RequestTrace",
     "TraceBuffer",
@@ -55,38 +48,30 @@ __all__ = [
 ]
 
 STAGE_QUEUE_WAIT = "queue_wait"      # frame parsed -> worker dequeues it
-STAGE_GUARD_CHECK = "guard_check"    # admission-guard verdict (uid/sig)
 STAGE_VALIDATE = "validate"          # token decode + quota + adjacency
 STAGE_CRYPTO = "crypto"              # authority.decode on token-cache miss
-STAGE_REPL_FORWARD = "repl_forward"  # replica->owner round-trip, whole hop
-STAGE_OWNER_QUEUE = "owner_queue"    # forward hop minus owner's own stages
 STAGE_DB_APPEND = "db_append"        # database append incl. durable store
 STAGE_DB_READ = "db_read"            # wire-page composition for GET
 STAGE_WAL_FSYNC = "wal_fsync"        # flush + fsync wait inside the WAL
 STAGE_GROUP_COMMIT = "group_commit"  # commit-leader wait inside wal_fsync
 STAGE_HANDLER = "handler"            # whole dispatch on the worker
 STAGE_FLUSH = "flush"                # response queued -> last byte written
-STAGE_APPLY_LAG = "apply_lag"        # owner publish -> replica apply
 
 ALL_STAGES = (
     STAGE_QUEUE_WAIT,
-    STAGE_GUARD_CHECK,
     STAGE_VALIDATE,
     STAGE_CRYPTO,
-    STAGE_REPL_FORWARD,
-    STAGE_OWNER_QUEUE,
     STAGE_DB_APPEND,
     STAGE_DB_READ,
     STAGE_WAL_FSYNC,
     STAGE_GROUP_COMMIT,
     STAGE_HANDLER,
     STAGE_FLUSH,
-    STAGE_APPLY_LAG,
 )
 
-# Trace ids are u64: a random per-process prefix (so ids minted by
-# different federated workers can't collide) over a monotonically
-# increasing suffix.  next() on an itertools.count is GIL-atomic, so
+# Trace ids are u64: a random per-process prefix (so ids minted before
+# and after a restart can't collide) over a monotonically increasing
+# suffix.  next() on an itertools.count is GIL-atomic, so
 # minting needs no lock.
 _TRACE_ID_BITS = 64
 _SEQ_BITS = 40
@@ -122,7 +107,7 @@ class RequestTrace:
         self.stages[stage] = self.stages.get(stage, 0.0) + seconds
 
     def merge_stages(self, stages: dict[str, float]) -> None:
-        """Fold another process's stamps (the owner's) into this trace."""
+        """Fold another trace's stamps into this one."""
         for stage, seconds in stages.items():
             self.stamp(stage, seconds)
 
@@ -148,17 +133,16 @@ class RequestTrace:
 # Trace-context wire form
 # ---------------------------------------------------------------------------
 #
-# The replication reply carries the owner-side stamps back to the
-# replica as:  u8 entry count, then per entry u8 name length + UTF-8
-# stage name + f64 big-endian seconds.  Stage names are short constants,
-# so u8 lengths are ample; the codec round-trips losslessly (f64 in,
-# f64 out — property-tested in tests/obs).
+# u8 entry count, then per entry u8 name length + UTF-8 stage name + f64
+# big-endian seconds.  Stage names are short constants, so u8 lengths
+# are ample; the codec round-trips losslessly (f64 in, f64 out —
+# property-tested in tests/obs).
 
 _F64 = struct.Struct(">d")
 
 
 def encode_trace_stages(stages: dict[str, float]) -> bytes:
-    """Serialise stage stamps for the replication reply (lossless)."""
+    """Serialise stage stamps (lossless)."""
     if not stages:
         return b"\x00"
     items = list(stages.items())[:255]
@@ -218,8 +202,8 @@ class TraceBuffer:
             return
         total = trace.total()
         if total <= 0.0:
-            # A partial trace (the owner's side of a forwarded ADD) has
-            # no handler/queue_wait stamps; rank it by its stage sum.
+            # A partial trace (no handler/queue_wait stamps, e.g. stages
+            # merged in from another process) ranks by its stage sum.
             total = sum(trace.stages.values())
         if total <= self._floor:
             return

@@ -6,7 +6,7 @@ Usage::
         [--addr unix:///var/run/communix.sock]
         [--quota-per-day 10] [--no-adjacency-check]
         [--data-dir /var/lib/communix] [--fsync always]
-        [--checkpoint-every 4096] [--server-procs 4]
+        [--checkpoint-every 4096]
         [--admin-addr tcp://127.0.0.1:9199] [--metrics-log metrics.jsonl]
         [--slow-request-ms 50] [--no-metrics]
 
@@ -20,13 +20,6 @@ is flushed and sealed with a final checkpoint, UNIX socket files are
 unlinked — instead of the process dying mid-write.  The server prints its
 bound address(es) and serves until interrupted.  Clients connect with
 :class:`repro.client.SocketEndpoint` or via ``python -m repro.client``.
-
-``--server-procs N`` federates the tier over N worker processes sharing
-every listen endpoint (see :mod:`repro.server.federation` and
-``docs/architecture.md`` §10): worker 0 is the single writer of the
-write-ahead log and group-commits the ADDs its sibling replicas forward
-to it, so throughput scales with processes while durability semantics
-stay exactly those of the single-process server.
 """
 
 from __future__ import annotations
@@ -80,22 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="request-processing worker threads",
     )
     parser.add_argument(
-        "--server-procs", type=int, default=1, metavar="N",
-        help="federate the server over N worker processes sharing the "
-             "listen endpoint(s) (SO_REUSEPORT for TCP; passed listening "
-             "FDs for unix://): worker 0 owns the write-ahead log and "
-             "group-commits forwarded ADDs, the others forward mutations "
-             "to it and serve GETs from replicated in-memory copies; "
-             "1 (default) keeps the single-process server",
-    )
-    # Internal federation plumbing (set by the coordinator, never by hand).
-    parser.add_argument("--federation-worker", type=int, default=None,
-                        metavar="IDX", help=argparse.SUPPRESS)
-    parser.add_argument("--internal-addr", default=None,
-                        help=argparse.SUPPRESS)
-    parser.add_argument("--fd-channel", type=int, default=None,
-                        help=argparse.SUPPRESS)
-    parser.add_argument(
         "--data-dir", metavar="DIR", default=None,
         help="persist the signature database to a segmented write-ahead "
              "log in DIR (replayed on restart); default: memory only",
@@ -123,29 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--token-cache-size", type=int, default=65_536, metavar="N",
         help="bound on the validator's decoded-token LRU cache",
-    )
-    parser.add_argument(
-        "--guard", action="store_true",
-        help="enable the streaming admission guard (repro.guard): "
-             "count-min sketches over sender uid / signature id / source "
-             "endpoint feed a flood detector that sheds or throttles "
-             "flooding keys before crypto and quota work is spent",
-    )
-    parser.add_argument(
-        "--guard-budget", type=int, default=64, metavar="N",
-        help="guard master budget in operations per decay window-pair "
-             "(per-dimension budgets derive from it; see repro.guard)",
-    )
-    parser.add_argument(
-        "--guard-window", type=float, default=5.0, metavar="SECONDS",
-        help="guard decay-window length; detection reacts within about "
-             "one window and a retired flooder is forgotten after two",
-    )
-    parser.add_argument(
-        "--guard-tarpit", type=float, default=0.025, metavar="SECONDS",
-        help="delay before a loop-shed response is flushed; the shed "
-             "connection is held busy meanwhile, so a closed-loop "
-             "flooder is throttled to ~1/tarpit requests per second",
     )
     parser.add_argument(
         "--admin-addr", action="append", metavar="URL", default=None,
@@ -181,8 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> ServerConfig:
-    """The one CLI → :class:`ServerConfig` mapping, shared by the
-    single-process server and every federation worker."""
+    """The one CLI → :class:`ServerConfig` mapping."""
     return ServerConfig(
         max_signatures_per_user_per_day=args.quota_per_day,
         adjacency_check=not args.no_adjacency_check,
@@ -193,10 +146,6 @@ def config_from_args(args: argparse.Namespace) -> ServerConfig:
         token_cache_size=args.token_cache_size,
         metrics_enabled=not args.no_metrics,
         slow_request_ms=args.slow_request_ms,
-        guard_enabled=args.guard,
-        guard_budget=args.guard_budget,
-        guard_window_s=args.guard_window,
-        guard_tarpit_s=args.guard_tarpit,
         trace_buffer_size=args.trace_buffer,
     )
 
@@ -204,12 +153,6 @@ def config_from_args(args: argparse.Namespace) -> ServerConfig:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     enable_console_logging()
-    if args.federation_worker is not None:
-        # Spawned by the federation coordinator: stdout is its JSON
-        # control channel, endpoints arrive via --addr/--fd-channel.
-        from repro.server.federation import federation_worker_main
-
-        return federation_worker_main(args, config_from_args(args))
     try:
         endpoints = [parse_endpoint(spec)
                      for spec in args.addr or [DEFAULT_ADDR]]
@@ -226,13 +169,6 @@ def main(argv: list[str] | None = None) -> int:
                            for spec in (args.admin_addr or [])]
     except EndpointError as exc:
         print(f"error: --admin-addr: {exc}", file=sys.stderr)
-        return 2
-    if args.server_procs > 1:
-        from repro.server.federation import run_federation
-
-        return run_federation(args, endpoints, admin_endpoints)
-    if args.server_procs < 1:
-        print("error: --server-procs must be positive", file=sys.stderr)
         return 2
     config = config_from_args(args)
     try:

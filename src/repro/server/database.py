@@ -45,7 +45,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from repro.core.signature import DeadlockSignature, ORIGIN_REMOTE
+from repro.core.signature import DeadlockSignature
 from repro.server.protocol import pack_signature_record
 from repro.util.logging import get_logger
 
@@ -193,7 +193,6 @@ class SignatureDatabase:
         self._by_sig_id: dict[str, int] = {}
         self._by_user: dict[int, list[int]] = {}  # uid -> entry indices
         self._page_cache = _PageCache(page_cache_capacity)
-        self._publish_listeners: list = []
         self._store = store
         self.replayed_count = 0
         if store is not None:
@@ -224,24 +223,6 @@ class SignatureDatabase:
     @property
     def store(self):
         return self._store
-
-    # -------------------------------------------------------- publish hooks
-    def add_publish_listener(self, fn) -> None:
-        """Register ``fn()`` to run after new entries become visible.
-
-        Listeners fire *outside* the append lock, after ``_count`` has
-        advanced — the replication hub uses this to wake its apply-stream
-        subscribers the instant an entry publishes instead of polling.
-        Listeners must be cheap and must not raise (failures are swallowed
-        so one bad subscriber can't poison the write path)."""
-        self._publish_listeners.append(fn)
-
-    def _notify_publish(self) -> None:
-        for fn in self._publish_listeners:
-            try:
-                fn()
-            except Exception:  # pragma: no cover - defensive
-                log.exception("publish listener failed")
 
     def __len__(self) -> int:
         return self._count
@@ -323,44 +304,15 @@ class SignatureDatabase:
                 # record back after the group fsync failed.
                 raise OSError("append was rolled back by a failed "
                               "group commit")
-            published = index >= self._count
-            if published:
+            if index >= self._count:
                 self._count = index + 1
                 self._page_cache.invalidate()
-        if published:
-            self._notify_publish()
         if store is not None:
             # As the store's metadata provider, this database drives the
             # checkpoint cadence: only now — entry published — do both
             # layers agree on the full count.
             store.maybe_checkpoint()
         return index
-
-    def apply_replicated(self, index: int, blob: bytes,
-                         sender_uid: int) -> bool:
-        """Install one entry from the log owner's apply-stream (federated
-        replica workers only — never mixed with local :meth:`append`).
-
-        Entries must arrive in log order; an ``index`` already present is
-        skipped idempotently (the subscription handshake can overlap the
-        backfill by a record or two), a gap is a protocol bug and raises.
-        The blob is parsed here to recover the dedup hash and top-frame
-        metadata the owner validated — same trust model as replaying the
-        WAL at startup."""
-        signature = DeadlockSignature.from_bytes(blob, origin=ORIGIN_REMOTE)
-        with self._append_lock:
-            if index < self._count:
-                return False
-            if index != self._count:
-                raise ValueError(
-                    f"apply-stream gap: expected entry {self._count}, "
-                    f"got {index}"
-                )
-            self._insert_locked(blob, signature.sig_id, sender_uid,
-                                signature.top_frames)
-            self._page_cache.invalidate()
-        self._notify_publish()
-        return True
 
     def checkpoint_metadata(self, lo: int, hi: int) -> list[tuple]:
         """``(sig_id, top_frames, sender_uid)`` for entries ``[lo, hi)``
@@ -373,8 +325,7 @@ class SignatureDatabase:
     def _insert_locked(self, blob: bytes, sig_id: str, sender_uid: int,
                        top_frames: frozenset) -> int:
         """In-memory append, published immediately (caller holds
-        ``_append_lock`` and the record is durable already: replay and
-        replicas)."""
+        ``_append_lock`` and the record is durable already: replay)."""
         index = self._stage_locked(blob, sig_id, sender_uid, top_frames)
         self._count = index + 1  # publish: readers may now see it
         return index

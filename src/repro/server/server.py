@@ -80,23 +80,6 @@ class ServerConfig:
     #: Log a stage breakdown for any request slower than this many
     #: milliseconds (0 disables the slow-request log).
     slow_request_ms: float = 0.0
-    #: Admission guard (``repro.guard``, ``--guard``): streaming flood
-    #: detection in front of validation — per-uid/per-signature sketch
-    #: checks before the quota lock, flooding source endpoints shed on
-    #: the event loop before crypto.  Off by default: the fixed daily
-    #: quota alone is the paper's §III-C1 behavior.
-    guard_enabled: bool = False
-    #: Master guard budget in operations per decay window-pair
-    #: (``--guard-budget``); per-dimension budgets derive from it — see
-    #: :class:`repro.guard.GuardConfig`.
-    guard_budget: int = 64
-    #: Guard decay-window length in seconds (``--guard-window``):
-    #: detection latency is about one window, relax-back several.
-    guard_window_s: float = 5.0
-    #: Tarpit delay for loop-shed responses (``--guard-tarpit``): a shed
-    #: connection is held busy this long per response, throttling a
-    #: closed-loop flooder to ~1/tarpit requests per second.
-    guard_tarpit_s: float = 0.025
     #: How many of the slowest completed traces the in-memory ring keeps
     #: for the admin plane's ``/traces`` endpoint (``--trace-buffer``).
     trace_buffer_size: int = 64
@@ -208,26 +191,15 @@ class CommunixServer:
         self.quota = DailyQuota(
             self.clock, self.config.max_signatures_per_user_per_day
         )
-        self.guard = None
-        if self.config.guard_enabled:
-            from repro.guard import AdmissionGuard, GuardConfig
-
-            self.guard = AdmissionGuard(
-                GuardConfig(window_s=self.config.guard_window_s,
-                            budget=self.config.guard_budget,
-                            tarpit_s=self.config.guard_tarpit_s),
-                metrics=metrics,
-            )
         self.validator = ServerSideValidator(
             self.authority, self.quota, self.database,
             token_cache_size=self.config.token_cache_size,
-            metrics=metrics, guard=self.guard,
+            metrics=metrics,
         )
         self._counters = _StatsCounters()
-        #: Ring of the N slowest completed traces, fed by the transport
-        #: (and the replication hub for forwarded ADDs), served by the
-        #: admin plane's ``/traces``.  Always present — it only fills
-        #: when traces are being minted.
+        #: Ring of the N slowest completed traces, fed by the transport,
+        #: served by the admin plane's ``/traces``.  Always present — it
+        #: only fills when traces are being minted.
         self.traces = TraceBuffer(self.config.trace_buffer_size)
         # Pre-resolved stage histograms: the hot path must not pay a
         # registry lookup per request.  _obs_on gates even the
@@ -303,49 +275,23 @@ class CommunixServer:
 
     # ------------------------------------------------------------ requests
     def process_add(self, blob: bytes, token: str, trace=None) -> AddOutcome:
-        """Handle ``ADD(sig)``: validate and store one signature blob.
+        """Handle ``ADD(sig)``: size check, parse, token decode + quota +
+        adjacency (the validator), then the durable append.
 
         ``trace`` is an optional :class:`repro.obs.RequestTrace` the
         transport hands down when the slow-request log is armed; stage
         timings always go to the registry histograms when metrics are on.
         """
-        return self._add(blob, token, None, trace, True)
-
-    def process_forwarded_add(self, blob: bytes, uid: int,
-                              trace=None) -> AddOutcome:
-        """ADD forwarded over the internal endpoint by a federated replica
-        worker that already decoded the sender token to ``uid`` (see
-        :mod:`repro.server.federation`).
-
-        The log owner runs the same body as :meth:`process_add` — size,
-        parse, quota, adjacency, dedup, the durable append — starting
-        from the forwarded uid.  Request accounting is deliberately
-        skipped: the forwarding worker already counted this ADD against
-        its own client-facing stats, and the coordinator sums those —
-        counting here too would double-book every forwarded request in
-        the merged totals.
-        """
-        return self._add(blob, None, uid, trace, False)
-
-    def _add(self, blob: bytes, token: str | None, uid: int | None, trace,
-             counted: bool) -> AddOutcome:
-        """The one ADD body: size check, parse, uid (decoded from
-        ``token`` when ``uid`` is ``None``), quota + adjacency, the
-        durable append.  ``counted`` says whether the request counters
-        move."""
         timed = self._obs_on or trace is not None
         exemplar = trace.hex_id() if trace is not None else None
         if len(blob) > self.config.max_signature_bytes:
-            return self._rejected("oversized", counted)
+            return self._rejected("oversized")
         try:
             signature = DeadlockSignature.from_bytes(blob, origin=ORIGIN_REMOTE)
         except ValidationError:
-            return self._rejected("malformed", counted)
+            return self._rejected("malformed")
         started = perf_counter() if timed else 0.0
-        if uid is None:
-            uid = self.validator.resolve_uid(token, trace)
-        verdict = (ServerVerdict.BAD_TOKEN if uid is None
-                   else self.validator.check_add_uid(signature, uid, trace))
+        verdict, uid = self.validator.check_add(signature, token, trace)
         if timed:
             elapsed = perf_counter() - started
             self._h_validate.record(elapsed, exemplar)
@@ -354,7 +300,7 @@ class CommunixServer:
         if not self.config.adjacency_check and verdict is ServerVerdict.ADJACENT:
             verdict = ServerVerdict.OK
         if verdict is not ServerVerdict.OK:
-            return self._rejected(verdict.value, counted)
+            return self._rejected(verdict.value)
         started = perf_counter() if timed else 0.0
         try:
             index = self.database.append(signature, blob, uid, trace=trace)
@@ -366,14 +312,13 @@ class CommunixServer:
             # retries that stored nothing.
             log.exception("store append failed; ADD not acknowledged")
             self.quota.refund(uid)
-            return self._rejected("store_error", counted)
+            return self._rejected("store_error")
         if timed:
             elapsed = perf_counter() - started
             self._h_db_append.record(elapsed, exemplar)
             if trace is not None:
                 trace.stamp(STAGE_DB_APPEND, elapsed)
-        if counted:
-            self._counters.adds_accepted.add()
+        self._counters.adds_accepted.add()
         return AddOutcome(accepted=True, verdict="ok", index=index)
 
     def _clamp_page(self, max_count: int) -> int:
@@ -428,9 +373,8 @@ class CommunixServer:
         self._counters.signatures_served.add(count)
         return next_index, count, chunks, more
 
-    def _rejected(self, verdict: str, counted: bool = True) -> AddOutcome:
-        if counted:
-            self._counters.note_rejection(verdict)
+    def _rejected(self, verdict: str) -> AddOutcome:
+        self._counters.note_rejection(verdict)
         return AddOutcome(accepted=False, verdict=verdict)
 
     # --------------------------------------------------------------- stats
@@ -459,7 +403,5 @@ class CommunixServer:
         payload["signatures_served"] = stats.signatures_served
         payload["database_segments"] = self.database.segment_count
         payload["token_cache"] = self.validator.token_cache.stats()
-        if self.guard is not None:
-            payload["guard"] = self.guard.stats_payload()
         payload["metrics"] = self.metrics.snapshot()
         return payload

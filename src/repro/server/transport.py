@@ -136,15 +136,6 @@ _STALL_THRESHOLD_S = 0.1
 _HTTP_STATUS = {200: "OK", 404: "Not Found", 405: "Method Not Allowed",
                 500: "Internal Server Error"}
 
-#: Precomposed shed response (frame header + body): a flooding endpoint's
-#: frames are answered with this straight from the event loop — no JSON
-#: parse, no worker dispatch, no crypto.
-_SHED_BODY = canonical_json(
-    {"ok": False, "verdict": "shed",
-     "error": "admission guard: source endpoint is flooding"}
-)
-_SHED_PARTS = (struct.pack(">I", len(_SHED_BODY)), _SHED_BODY)
-
 
 def _http_response(status: int, body: bytes, content_type: str) -> bytes:
     """A complete HTTP/1.0 response (the admin plane closes after each
@@ -240,19 +231,15 @@ class _Connection:
     bytes and post results back through the completion queue.
     """
 
-    __slots__ = ("sock", "fd", "peer", "endpoint_key", "inbuf", "out",
-                 "pending", "busy", "paused", "events", "last_activity",
-                 "admin", "close_after_flush")
+    __slots__ = ("sock", "fd", "peer", "inbuf", "out", "pending", "busy",
+                 "paused", "events", "last_activity", "admin",
+                 "close_after_flush")
 
     def __init__(self, sock: socket.socket, peer, now: float,
-                 admin: bool = False, endpoint_key: str | None = None):
+                 admin: bool = False):
         self.sock = sock
         self.fd = sock.fileno()
         self.peer = peer
-        #: Guard key for the remote socket endpoint (None when the guard
-        #: is off): ``host:port`` for TCP, a per-connection id for UNIX
-        #: peers (which have no address to speak of).
-        self.endpoint_key = endpoint_key
         self.inbuf = bytearray()
         self.out = _OutputQueue()
         #: Parsed request payloads awaiting dispatch, each with the
@@ -273,35 +260,19 @@ class ServerTransport:
     def __init__(self, server: CommunixServer, endpoints=None,
                  accept_backlog: int = 512, workers: int = 8,
                  idle_timeout: float = 60.0, drain_timeout: float = 2.0,
-                 admin_endpoints=None, slow_request_ms: float | None = None,
-                 listen_sockets=None, reuse_port: bool = False,
-                 cleanup_listeners: bool = True):
+                 admin_endpoints=None, slow_request_ms: float | None = None):
         """``endpoints`` is a list of endpoint URLs / :class:`Endpoint`
-        objects to listen on simultaneously; when omitted (and no
-        ``listen_sockets`` are given) the transport binds one ephemeral
-        ``tcp://127.0.0.1:0`` endpoint — read :attr:`bound_endpoints`
-        after ``start()`` for the resolved port.
+        objects to listen on simultaneously; when omitted the transport
+        binds one ephemeral ``tcp://127.0.0.1:0`` endpoint — read
+        :attr:`bound_endpoints` after ``start()`` for the resolved port.
         ``admin_endpoints`` are served as a plaintext-HTTP observability
         plane (``GET /metrics`` Prometheus text, ``/stats`` JSON,
         ``/healthz``) from the same event loop.  ``slow_request_ms``
-        overrides ``server.config.slow_request_ms``.
-
-        The federated tier's knobs: ``listen_sockets`` is a list of
-        ``(socket, Endpoint)`` pairs *already bound and listening*
-        (listening FDs the coordinator passed over ``SCM_RIGHTS``), served
-        alongside anything in ``endpoints``.  ``reuse_port`` binds TCP
-        endpoints with ``SO_REUSEPORT`` so sibling worker processes can
-        share them.  ``cleanup_listeners=False`` leaves UNIX socket files
-        alone at shutdown — they belong to the coordinator, and a worker
-        (least of all a crashing one) must never unlink a path its
-        siblings still serve."""
+        overrides ``server.config.slow_request_ms``."""
         self._server = server
-        if not endpoints and not listen_sockets:
+        if not endpoints:
             endpoints = [tcp_endpoint()]
-        self._endpoints = [parse_endpoint(ep) for ep in endpoints or []]
-        self._listen_sockets = list(listen_sockets or [])
-        self._reuse_port = reuse_port
-        self._cleanup_listeners = cleanup_listeners
+        self._endpoints = [parse_endpoint(ep) for ep in endpoints]
         self._admin_endpoints = [parse_endpoint(ep)
                                  for ep in (admin_endpoints or [])]
         if slow_request_ms is None:
@@ -364,20 +335,6 @@ class ServerTransport:
         self._c_slow = metrics.counter("net.slow_requests")
         self._c_pauses = metrics.counter("net.backpressure_pauses")
         self._c_admin = metrics.counter("net.admin_requests")
-        # Admission guard (repro.guard): the loop-level endpoint check.
-        # _guard is read on every _pump when present, so resolve it once.
-        self._guard = getattr(server, "guard", None)
-        self._tarpit_s = (self._guard.config.tarpit_s
-                          if self._guard is not None else 0.0)
-        #: (due, conn, response parts) FIFO of tarpitted shed responses;
-        #: due times are monotone (constant delay), and a tarpitted
-        #: connection is held busy so per-connection response order is
-        #: preserved — the tarpit is a worker that takes tarpit_s.
-        self._tarpit: collections.deque[
-            tuple[float, _Connection, tuple]
-        ] = collections.deque()
-        self._accept_seq = 0  # distinguishes UNIX peers (fd values recycle)
-        self._c_loop_shed = metrics.counter("net.guard_loop_shed")
 
     # ------------------------------------------------------------ lifecycle
     def start(self) -> None:
@@ -385,22 +342,15 @@ class ServerTransport:
         are in :attr:`bound_endpoints`."""
         bound: list[tuple[socket.socket, Endpoint]] = []
         admin_bound: list[tuple[socket.socket, Endpoint]] = []
-        # Pre-bound listeners (federation: FDs the coordinator passed us)
-        # go first so they stay the primary address.
-        for sock, endpoint in self._listen_sockets:
-            sock.setblocking(False)
-            bound.append((sock, parse_endpoint(endpoint)))
         try:
             for endpoint in self._endpoints:
-                bound.append(net_listen(endpoint, backlog=self._backlog,
-                                        reuse_port=self._reuse_port))
+                bound.append(net_listen(endpoint, backlog=self._backlog))
             for endpoint in self._admin_endpoints:
                 admin_bound.append(net_listen(endpoint, backlog=16))
         except Exception:
             for sock, endpoint in bound + admin_bound:
                 sock.close()
-                if self._cleanup_listeners:
-                    cleanup_listener(endpoint)
+                cleanup_listener(endpoint)
             raise
         # Admin listeners live in the same table (every cleanup path —
         # pause, drain, force-close — already walks it); _admin_fds is
@@ -555,10 +505,6 @@ class ServerTransport:
                 timeout = 0.2
                 if self._accept_paused_until:
                     timeout = min(timeout, _ACCEPT_COOLDOWN)
-                if self._tarpit:
-                    timeout = max(0.0, min(
-                        timeout, self._tarpit[0][0] - time.monotonic()
-                    ))
                 if obs_on:
                     timeout = max(0.0, min(
                         timeout, next_tick - time.monotonic()
@@ -590,7 +536,6 @@ class ServerTransport:
                             self._on_readable(conn)
                 self._maybe_resume_accept()
                 self._drain_completions()
-                self._drain_tarpit()
                 self._sweep_idle()
                 if obs_on:
                     self._h_select_wait.record(work_started - before_select)
@@ -619,15 +564,7 @@ class ServerTransport:
                     self._pause_accept()
                 return
             sock.setblocking(False)
-            endpoint_key = None
-            if self._guard is not None and not admin:
-                self._accept_seq += 1
-                if isinstance(peer, tuple) and len(peer) >= 2:
-                    endpoint_key = f"{peer[0]}:{peer[1]}"
-                else:
-                    endpoint_key = f"unix:{self._accept_seq}"
-            conn = _Connection(sock, peer, time.monotonic(), admin=admin,
-                               endpoint_key=endpoint_key)
+            conn = _Connection(sock, peer, time.monotonic(), admin=admin)
             self._conns[conn.fd] = conn
             self._selector.register(sock, selectors.EVENT_READ, conn)
             if self._obs_on:
@@ -740,49 +677,9 @@ class ServerTransport:
         """Submit the connection's next queued request (one in flight)."""
         if conn.busy or not conn.pending:
             return
-        if (conn.endpoint_key is not None
-                and self._guard.endpoint_action(conn.endpoint_key)
-                != "admit"):
-            self._shed_head(conn)
-            return
         conn.busy = True
         payload, enqueued_at = conn.pending.popleft()
         self._executor.submit(self._work, conn, payload, enqueued_at)
-
-    def _shed_head(self, conn: _Connection) -> None:
-        """Answer the head-of-queue request with the precomposed shed
-        frame, never parsing it or touching the worker pool.  The
-        response rides the tarpit queue (optionally with a delay): the
-        connection is held busy until it leaves, which both preserves
-        per-connection response order and throttles a closed-loop
-        flooder to ~1/tarpit_s requests per second."""
-        conn.pending.popleft()
-        self._guard.note_rejection(conn.endpoint_key, "shed")
-        if self._obs_on:
-            self._c_loop_shed.add()
-        conn.busy = True
-        due = time.monotonic() + self._tarpit_s
-        self._tarpit.append((due, conn, _SHED_PARTS))
-
-    def _drain_tarpit(self) -> None:
-        """Release tarpitted shed responses whose delay has elapsed
-        (called every loop iteration; the select timeout is clamped to
-        the head entry's due time)."""
-        tarpit = self._tarpit
-        if not tarpit:
-            return
-        now = time.monotonic()
-        while tarpit and tarpit[0][0] <= now:
-            _, conn, parts = tarpit.popleft()
-            conn.busy = False
-            if self._conns.get(conn.fd) is not conn:
-                continue  # closed while parked
-            conn.out.push(parts)
-            conn.last_activity = now
-            self._flush(conn)
-            if self._conns.get(conn.fd) is conn:
-                self._pump(conn)
-                self._update_events(conn)
 
     def _work(self, conn: _Connection, payload: bytes,
               enqueued_at: float = 0.0) -> None:
@@ -807,7 +704,7 @@ class ServerTransport:
             if trace is not None:
                 trace.stamp(STAGE_QUEUE_WAIT, queue_wait)
         try:
-            response = self._dispatch(payload, trace, conn.endpoint_key)
+            response = self._dispatch(payload, trace)
         except ProtocolError as exc:
             response = canonical_json({"ok": False, "error": str(exc)})
         except Exception as exc:  # pragma: no cover - defensive
@@ -992,12 +889,10 @@ class ServerTransport:
             except (KeyError, ValueError, OSError):
                 pass
             sock.close()
-            if self._cleanup_listeners:
-                cleanup_listener(endpoint)
+            cleanup_listener(endpoint)
         deadline = time.monotonic() + self._drain_timeout
         while time.monotonic() < deadline:
             self._drain_completions()
-            self._drain_tarpit()
             live = [c for c in self._conns.values()
                     if c.busy or c.out.size]
             if not live:
@@ -1017,7 +912,6 @@ class ServerTransport:
             log.exception("failed to flush signature store during drain")
 
     def _force_close_all(self) -> None:
-        self._tarpit.clear()
         for conn in list(self._conns.values()):
             self._close_conn(conn)
         for sock, endpoint in self._listeners.values():
@@ -1025,8 +919,7 @@ class ServerTransport:
                 sock.close()
             except OSError:
                 pass
-            if self._cleanup_listeners:
-                cleanup_listener(endpoint)
+            cleanup_listener(endpoint)
         for sock in (self._wakeup_recv, self._wakeup_send):
             if sock is not None:
                 try:
@@ -1040,8 +933,7 @@ class ServerTransport:
                 pass
 
     # ------------------------------------------------------------- dispatch
-    def _dispatch(self, payload: bytes, trace=None,
-                  endpoint_key: str | None = None) -> bytes | list[bytes]:
+    def _dispatch(self, payload: bytes, trace=None) -> bytes | list[bytes]:
         request = decode_request(payload)
         op = request["op"]
         if trace is not None:
@@ -1050,12 +942,6 @@ class ServerTransport:
             blob = decode_add_signature(request)
             token = str(request.get("token", ""))
             outcome = self._server.process_add(blob, token, trace)
-            if endpoint_key is not None and not outcome.accepted:
-                # Validation feedback for the guard's endpoint dimension:
-                # sustained rejections (not raw volume — closed-loop
-                # benign traffic looks the same by rate) are what flag a
-                # source endpoint for loop-level shedding.
-                self._guard.note_rejection(endpoint_key, outcome.verdict)
             return canonical_json(
                 {
                     "ok": outcome.accepted,

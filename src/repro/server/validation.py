@@ -27,7 +27,7 @@ from time import perf_counter
 
 from repro.core.signature import DeadlockSignature
 from repro.crypto.userid import UserIdAuthority
-from repro.obs import STAGE_CRYPTO, STAGE_GUARD_CHECK
+from repro.obs import STAGE_CRYPTO
 from repro.server.database import SignatureDatabase
 from repro.server.ratelimit import DailyQuota
 from repro.util.errors import CryptoError
@@ -39,10 +39,6 @@ class ServerVerdict(enum.Enum):
     QUOTA_EXCEEDED = "quota_exceeded"
     ADJACENT = "adjacent"
     MALFORMED = "malformed"
-    #: The admission guard (``repro.guard``) classified the sender or
-    #: signature as flooding/over-allowance and dropped the request
-    #: before the quota and adjacency checks ran.
-    SHED = "shed"
 
 
 def adjacent(top_frames_a: frozenset, top_frames_b: frozenset) -> bool:
@@ -104,23 +100,16 @@ class TokenCache:
 class ServerSideValidator:
     def __init__(self, authority: UserIdAuthority, quota: DailyQuota,
                  database: SignatureDatabase, token_cache_size: int = 65_536,
-                 metrics=None, guard=None):
+                 metrics=None):
         self._authority = authority
         self._quota = quota
         self._database = database
-        self._guard = guard  # repro.guard.AdmissionGuard | None
         self._token_cache = TokenCache(token_cache_size)
         # AES-decode time on cache misses; None when metrics are off so
         # the hot path pays no perf_counter() reads.
         self._h_crypto = (metrics.histogram(f"stage.{STAGE_CRYPTO}")
                           if metrics is not None and metrics.enabled
                           else None)
-        # Guard-verdict time; only materialised when both the guard and
-        # metrics are on (the guard-off hot path must stay stamp-free).
-        self._h_guard = (metrics.histogram(f"stage.{STAGE_GUARD_CHECK}")
-                         if guard is not None and metrics is not None
-                         and metrics.enabled
-                         else None)
 
     @property
     def token_cache(self) -> TokenCache:
@@ -158,39 +147,10 @@ class ServerSideValidator:
         uid = self.resolve_uid(token, trace)
         if uid is None:
             return ServerVerdict.BAD_TOKEN, None
-        return self.check_add_uid(signature, uid, trace), uid
-
-    def check_add_uid(self, signature: DeadlockSignature, uid: int,
-                      trace=None) -> ServerVerdict:
-        """§III-C2 steps 2–3 (quota + adjacency) for an ADD whose token a
-        trusted peer already decoded to ``uid`` — the log owner's entry
-        point for forwarded federated ADDs, where the AES work happened on
-        the forwarding worker but quota and adjacency are *global* state
-        only the owner holds."""
-        if self._guard is not None:
-            histogram = self._h_guard
-            timed = histogram is not None or trace is not None
-            started = perf_counter() if timed else 0.0
-            admitted = self._guard.admit_add(uid, signature.sig_id)
-            if timed:
-                elapsed = perf_counter() - started
-                if histogram is not None:
-                    histogram.record(
-                        elapsed,
-                        trace.hex_id() if trace is not None else None,
-                    )
-                if trace is not None:
-                    trace.stamp(STAGE_GUARD_CHECK, elapsed)
-            if not admitted:
-                # Shed *before* the quota lock: a flooding sender must not
-                # contend on (or consume) shared quota state, and the
-                # offered signature still fed the guard's sketches so the
-                # classification keeps tracking the flood while it sheds.
-                return ServerVerdict.SHED
         if not self._quota.try_consume(uid):
-            return ServerVerdict.QUOTA_EXCEEDED
+            return ServerVerdict.QUOTA_EXCEEDED, uid
         mine = signature.top_frames
         for previous in self._database.user_top_frames(uid):
             if adjacent(mine, previous):
-                return ServerVerdict.ADJACENT
-        return ServerVerdict.OK
+                return ServerVerdict.ADJACENT, uid
+        return ServerVerdict.OK, uid

@@ -1,6 +1,5 @@
 """CLI smoke tests: the server and client entry points as real processes."""
 
-import dataclasses
 import signal
 import subprocess
 import sys
@@ -9,8 +8,8 @@ import time
 import pytest
 
 from repro.client.endpoints import SocketEndpoint
-from repro.server import federation
 from repro.server.__main__ import build_parser, config_from_args
+from repro.server.server import ServerConfig
 
 
 @pytest.fixture
@@ -100,6 +99,21 @@ class TestServerCli:
     def test_removed_host_port_flags_exit_2(self, flag):
         completed = subprocess.run(
             [sys.executable, "-m", "repro.server", flag, "7199"],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert completed.returncode == 2
+        assert "unrecognized arguments" in completed.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["--server-procs", "2"],
+        ["--guard"],
+        ["--federation-worker", "0"],
+    ], ids=["server-procs", "guard", "federation-worker"])
+    def test_removed_federation_and_guard_flags_exit_2(self, argv):
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.server", *argv],
             capture_output=True,
             text=True,
             timeout=30,
@@ -207,48 +221,32 @@ class TestSignalAtReadiness:
             assert ("served 0 adds, 0 gets; database holds 0 signatures "
                     "(0 durable, checkpointed at 0)") in out
 
-    def test_federation_drains(self, tmp_path):
-        rc, out = _sigterm_at_readiness(
-            "--server-procs", "2",
-            "--addr", f"unix://{tmp_path / 'fed.sock'}",
-            "--data-dir", str(tmp_path / "data"))
-        assert rc == 0, out
-        assert ("served 0 adds, 0 gets; database holds 0 signatures "
-                "(0 durable, checkpointed at 0)") in out
-
 
 class TestConfigFromArgs:
-    def test_workers_map_argv_like_the_single_process_server(
-            self, tmp_path, monkeypatch):
-        """Every federation worker re-parses the argv the coordinator
-        builds for it; through the one mapping that must give the
-        single-process config, minus the data dir on replicas."""
+    def test_argv_maps_to_server_config(self, tmp_path):
         args = build_parser().parse_args([
-            "--server-procs", "2", "--quota-per-day", "7",
-            "--no-adjacency-check", "--data-dir", str(tmp_path),
-            "--fsync", "never", "--checkpoint-every", "9",
-            "--crypto-backend", "pure", "--token-cache-size", "5",
-            "--no-metrics", "--slow-request-ms", "3.5", "--guard",
-            "--guard-budget", "11", "--guard-window", "2.5",
-            "--guard-tarpit", "0.5", "--trace-buffer", "4",
+            "--quota-per-day", "7", "--no-adjacency-check",
+            "--data-dir", str(tmp_path), "--fsync", "never",
+            "--checkpoint-every", "9", "--crypto-backend", "pure",
+            "--token-cache-size", "5", "--no-metrics",
+            "--slow-request-ms", "3.5", "--trace-buffer", "4",
         ])
-        single = config_from_args(args)
-        commands = []
+        assert config_from_args(args) == ServerConfig(
+            max_signatures_per_user_per_day=7,
+            adjacency_check=False,
+            data_dir=str(tmp_path),
+            fsync_policy="never",
+            checkpoint_every=9,
+            crypto_backend="pure",
+            token_cache_size=5,
+            metrics_enabled=False,
+            slow_request_ms=3.5,
+            trace_buffer_size=4,
+        )
 
-        class CapturingPopen:
-            def __init__(self, command, **kwargs):
-                commands.append(command)
-
-        monkeypatch.setattr(federation.subprocess, "Popen", CapturingPopen)
-        for index in (0, 1):
-            federation._spawn_worker(index, args, [], [], "unix://@repl")
-        for index, command in enumerate(commands):
-            argv = command[command.index("repro.server") + 1:]
-            worker_args = build_parser().parse_args(argv)
-            assert worker_args.federation_worker == index
-            expected = (dataclasses.replace(single, data_dir=None)
-                        if index else single)
-            assert config_from_args(worker_args) == expected
+    def test_shipped_defaults_are_the_config_defaults(self):
+        assert config_from_args(build_parser().parse_args([])) == (
+            ServerConfig())
 
 
 class TestFalsePositiveUserActions:

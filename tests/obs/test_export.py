@@ -8,7 +8,6 @@ import time
 from repro.obs import (
     MetricsLogWriter,
     MetricsRegistry,
-    last_snapshot_line,
     metric_name,
     render_prometheus,
 )
@@ -89,15 +88,3 @@ def test_metrics_log_writer_stop_without_start(tmp_path):
     writer.stop()  # no thread; still writes the final line
     assert len(path.read_text().splitlines()) == 1
 
-
-def test_last_snapshot_line(tmp_path):
-    path = tmp_path / "metrics.jsonl"
-    assert last_snapshot_line(str(path)) is None  # missing file
-    path.write_text("")
-    assert last_snapshot_line(str(path)) is None  # empty file
-    path.write_text('{"ts": 1, "counters": {"a": 1}}\n'
-                    '{"ts": 2, "counters": {"a": 5}}\n')
-    record = last_snapshot_line(str(path))
-    assert record == {"ts": 2, "counters": {"a": 5}}
-    path.write_text('{"ts": 1}\nnot json\n')
-    assert last_snapshot_line(str(path)) is None  # torn tail

@@ -174,10 +174,9 @@ def test_wire_round_trip_is_identity(samples):
 
 @given(_workers)
 def test_merged_workers_report_the_pooled_percentiles(workers):
-    """The federation invariant, for the swarm and the server tier alike:
-    merging per-worker histograms (after a wire hop, empty workers
-    included) gives exactly the percentiles of recording every sample
-    into one histogram."""
+    """The swarm's pooling invariant: merging per-worker histograms
+    (after a wire hop, empty workers included) gives exactly the
+    percentiles of recording every sample into one histogram."""
     pooled = _recorded([s for samples in workers for s in samples])
     merged = Histogram()
     for samples in workers:

@@ -1,8 +1,8 @@
 """Trace ids, the trace-context wire codec, and the slow-trace ring.
 
-The replication reply carries the owner-side stage stamps back to the
-replica (PR 10); the codec must round-trip losslessly or cross-process
-traces would quietly drift from what the owner measured.
+The codec carries stage stamps across a process boundary; it must
+round-trip losslessly or a merged trace would quietly drift from what
+the other side measured.
 """
 
 import math
@@ -54,8 +54,8 @@ class TestTraceIds:
         assert trace.hex_id() == format_trace_id(trace.trace_id)
 
     def test_preseeded_id_is_kept(self):
-        # The owner side of a forwarded ADD must stamp the replica's id.
-        trace = RequestTrace(op="fwd_add", trace_id=0xABCD)
+        # A trace continued from another process keeps the caller's id.
+        trace = RequestTrace(op="add", trace_id=0xABCD)
         assert trace.trace_id == 0xABCD
 
 
@@ -122,16 +122,16 @@ class TestTraceBuffer:
         assert len(buffer) == 0
 
     def test_partial_trace_ranked_by_stage_sum(self):
-        # The owner's half of a forwarded ADD has no handler stamp; it
-        # must still outrank a faster complete trace.
+        # A trace merged in without a handler stamp must still outrank
+        # a faster complete trace.
         buffer = TraceBuffer(capacity=1)
         buffer.note(_trace(0.01))
-        owner = RequestTrace(op="fwd_add")
-        owner.stamp(STAGE_VALIDATE, 0.2)
-        owner.stamp(STAGE_DB_APPEND, 0.3)
-        buffer.note(owner)
+        partial = RequestTrace(op="add")
+        partial.stamp(STAGE_VALIDATE, 0.2)
+        partial.stamp(STAGE_DB_APPEND, 0.3)
+        buffer.note(partial)
         (entry,) = buffer.snapshot()
-        assert entry["trace_id"] == owner.hex_id()
+        assert entry["trace_id"] == partial.hex_id()
         assert entry["total_ms"] == pytest.approx(500.0)
 
     def test_stages_reported_in_pipeline_order_ms(self):

@@ -37,50 +37,6 @@ class TestAppend:
         assert not db.contains("nope")
 
 
-class TestPublishListeners:
-    def test_listener_fires_per_published_entry(self, shared_factory):
-        db = SignatureDatabase()
-        fired = []
-        db.add_publish_listener(lambda: fired.append(len(db)))
-        store(db, shared_factory, n=3)
-        # Fired after _count advanced: each callback saw the new entry.
-        assert fired == [1, 2, 3]
-
-    def test_duplicate_append_does_not_notify(self, shared_factory):
-        db = SignatureDatabase()
-        fired = []
-        db.add_publish_listener(lambda: fired.append(True))
-        sig = shared_factory.make_valid()
-        db.append(sig, sig.to_bytes(), 1)
-        db.append(sig, sig.to_bytes(), 2)  # dedup: nothing new published
-        assert fired == [True]
-
-    def test_apply_replicated_notifies(self, shared_factory):
-        source = SignatureDatabase()
-        store(source, shared_factory, n=2)
-        replica = SignatureDatabase()
-        fired = []
-        replica.add_publish_listener(lambda: fired.append(len(replica)))
-        for i in range(2):
-            entry = source.entry(i)
-            replica.apply_replicated(entry.index, entry.blob,
-                                     entry.sender_uid)
-        assert fired == [1, 2]
-
-    def test_failing_listener_does_not_poison_appends(self, shared_factory):
-        db = SignatureDatabase()
-
-        def bad():
-            raise RuntimeError("boom")
-
-        fired = []
-        db.add_publish_listener(bad)
-        db.add_publish_listener(lambda: fired.append(True))
-        store(db, shared_factory, n=2)
-        assert fired == [True, True]
-        assert len(db) == 2
-
-
 class TestGet:
     def test_page_from_zero(self, shared_factory):
         db = SignatureDatabase()

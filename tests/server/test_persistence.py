@@ -1,5 +1,6 @@
 """Durability wiring: database + server write-through, replay, restarts."""
 
+import errno
 import os
 import random
 
@@ -112,86 +113,33 @@ class TestDatabaseWriteThrough:
         store.close()
 
 
-def _failing_fsync(fd):
-    raise OSError(28, "No space left on device")
-
-
-def _add(server, via, blob, token):
-    """One ADD through the direct or the forwarded entry point."""
-    if via == "direct":
-        return server.process_add(blob, token)
-    return server.process_forwarded_add(
-        blob, server.authority.decode(token).user_id)
+def _failing_fsync(fd, code=errno.ENOSPC):
+    raise OSError(code, os.strerror(code))
 
 
 class TestFailingDisk:
-    """A real store whose fsync fails: neither entry point may ack,
-    publish, keep a dedup entry, or keep the quota slot."""
+    """A real store whose fsync fails: the ADD may not ack, publish,
+    keep a dedup entry, or keep the quota slot."""
 
-    @pytest.mark.parametrize("via", ["direct", "forwarded"])
+    @pytest.mark.parametrize("code", [errno.ENOSPC, errno.EIO])
     def test_failed_fsync_is_store_error_and_leaves_no_trace(
-            self, tmp_path, signatures, monkeypatch, via):
+            self, tmp_path, signatures, monkeypatch, code):
         server = CommunixServer(
             config=_config(tmp_path, max_signatures_per_user_per_day=3))
         token = server.issue_user_token()
         uid = server.authority.decode(token).user_id
         sig = signatures[3]
-        monkeypatch.setattr(os, "fsync", _failing_fsync)
-        outcome = _add(server, via, sig.to_bytes(), token)
+        monkeypatch.setattr(os, "fsync", lambda fd: _failing_fsync(fd, code))
+        outcome = server.process_add(sig.to_bytes(), token)
         assert (outcome.accepted, outcome.verdict) == (False, "store_error")
         assert len(server.database) == 0
         assert not server.database.contains(sig.sig_id)
         assert server.quota.used_today(uid) == 0
         assert server.store.record_count == 0
         monkeypatch.undo()
-        again = _add(server, via, sig.to_bytes(), token)
+        again = server.process_add(sig.to_bytes(), token)
         assert (again.accepted, again.index) == (True, 0)
         server.close()
-
-
-class TestForwardedParity:
-    """``process_add`` and ``process_forwarded_add`` are one body: the
-    same steps give the same verdict and index, and only the direct
-    entry point moves the request counters."""
-
-    @staticmethod
-    def _steps(case, factory):
-        """(user, blob) pairs; the verdict of the last one is compared."""
-        first = factory.make_valid().to_bytes()
-        if case == "oversized":
-            return [(0, b"x" * (65 * 1024))]
-        if case == "malformed":
-            return [(0, b"garbage bytes")]
-        if case == "quota_exceeded":
-            return [(0, first), (0, factory.make_valid().to_bytes())]
-        if case == "adjacent":
-            a, b = factory.make_adjacent_pair()
-            return [(0, a.to_bytes()), (0, b.to_bytes())]
-        if case == "duplicate":
-            return [(0, first), (1, first)]
-        return [(0, first)]
-
-    @pytest.mark.parametrize("case", ["oversized", "malformed",
-                                      "quota_exceeded", "adjacent",
-                                      "duplicate", "ok"])
-    def test_direct_and_forwarded_agree(self, case, shared_factory):
-        steps = self._steps(case, shared_factory)
-        results = {}
-        for via in ("direct", "forwarded"):
-            quota = 1 if case == "quota_exceeded" else 10
-            server = CommunixServer(config=ServerConfig(
-                max_signatures_per_user_per_day=quota))
-            tokens = [server.issue_user_token() for _ in range(2)]
-            for user, blob in steps:
-                outcome = _add(server, via, blob, tokens[user])
-            results[via] = (outcome.verdict, outcome.index)
-            stats = server.stats
-            moved = stats.adds_accepted + sum(stats.adds_rejected.values())
-            assert moved == (len(steps) if via == "direct" else 0)
-        assert results["direct"] == results["forwarded"]
-        expected = {"duplicate": ("ok", 0), "ok": ("ok", 0)}.get(
-            case, (case, None))
-        assert results["direct"] == expected
 
 
 class TestServerRestart:

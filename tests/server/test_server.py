@@ -77,6 +77,43 @@ class TestAdd:
             shared_factory.make_valid().to_bytes(), token
         ).accepted
 
+    @staticmethod
+    def _steps(case, factory):
+        """(user, blob) pairs; the verdict of the last one is checked."""
+        first = factory.make_valid().to_bytes()
+        if case == "oversized":
+            return [(0, b"x" * (65 * 1024))]
+        if case == "malformed":
+            return [(0, b"garbage bytes")]
+        if case == "quota_exceeded":
+            return [(0, first), (0, factory.make_valid().to_bytes())]
+        if case == "adjacent":
+            a, b = factory.make_adjacent_pair()
+            return [(0, a.to_bytes()), (0, b.to_bytes())]
+        if case == "duplicate":
+            return [(0, first), (1, first)]
+        return [(0, first)]
+
+    @pytest.mark.parametrize("case", ["oversized", "malformed",
+                                      "quota_exceeded", "adjacent",
+                                      "duplicate", "ok"])
+    def test_verdict_and_request_accounting(self, case, shared_factory):
+        """Every ADD outcome is counted exactly once in the request
+        counters, and the last step gives the expected verdict/index."""
+        steps = self._steps(case, shared_factory)
+        quota = 1 if case == "quota_exceeded" else 10
+        server = CommunixServer(config=ServerConfig(
+            max_signatures_per_user_per_day=quota))
+        tokens = [server.issue_user_token() for _ in range(2)]
+        for user, blob in steps:
+            outcome = server.process_add(blob, tokens[user])
+        stats = server.stats
+        assert (stats.adds_accepted + sum(stats.adds_rejected.values())
+                == len(steps))
+        expected = {"duplicate": ("ok", 0), "ok": ("ok", 0)}.get(
+            case, (case, None))
+        assert (outcome.verdict, outcome.index) == expected
+
     def test_duplicate_signature_same_index(self, server, shared_factory):
         token_a = server.issue_user_token()
         token_b = server.issue_user_token()
