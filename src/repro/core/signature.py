@@ -166,10 +166,15 @@ class ThreadSignature:
             raise ValidationError("malformed thread signature") from exc
 
 
+def _thread_sort_key(thread: ThreadSignature) -> tuple:
+    encoded = thread.encode()
+    return encoded["outer"], encoded["inner"]
+
+
 def _canonical_thread_order(threads: Iterable[ThreadSignature]) -> tuple[ThreadSignature, ...]:
     """Signatures are unordered sets of thread stacks; store them sorted so
     that equality and content hashes are representation-independent."""
-    return tuple(sorted(threads, key=lambda t: (t.encode()["outer"], t.encode()["inner"])))
+    return tuple(sorted(threads, key=_thread_sort_key))
 
 
 @dataclass(frozen=True)
@@ -256,6 +261,8 @@ class DeadlockSignature:
         return DeadlockSignature.decode(obj, origin=origin)
 
     def with_origin(self, origin: str) -> "DeadlockSignature":
+        if origin == self.origin:
+            return self
         return DeadlockSignature(threads=self.threads, origin=origin)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

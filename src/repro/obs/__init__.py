@@ -51,14 +51,11 @@ from repro.obs.trace import (
     STAGE_WAL_FSYNC,
     RequestTrace,
     TraceBuffer,
-    decode_trace_stages,
-    encode_trace_stages,
     format_trace_id,
     mint_trace_id,
 )
 from repro.obs.export import (
     MetricsLogWriter,
-    merge_registry_snapshots,
     metric_name,
     render_prometheus,
 )
@@ -87,10 +84,7 @@ __all__ = [
     "TraceBuffer",
     "bucket_index",
     "bucket_upper_bound",
-    "decode_trace_stages",
-    "encode_trace_stages",
     "format_trace_id",
-    "merge_registry_snapshots",
     "metric_name",
     "mint_trace_id",
     "render_prometheus",

@@ -24,7 +24,7 @@ import time
 from repro.obs.histogram import Histogram
 from repro.util.logging import get_logger
 
-__all__ = ["render_prometheus", "MetricsLogWriter", "merge_registry_snapshots"]
+__all__ = ["render_prometheus", "MetricsLogWriter"]
 
 log = get_logger("obs.export")
 
@@ -68,38 +68,6 @@ def _fmt(value: float) -> str:
     # Prometheus wants plain decimal; repr keeps full precision while
     # rendering integral floats as "2.0" rather than "2e+00".
     return repr(float(value))
-
-
-def merge_registry_snapshots(snapshots) -> dict:
-    """Fold several ``MetricsRegistry.snapshot()`` dicts into one.
-
-    For callers holding one registry per process that want a single
-    snapshot of the whole set.  Counters and gauges sum by name — for
-    additive gauges (queue depths, connection counts) that is the pooled
-    value.  Histograms fold with :meth:`Histogram.merge`, so percentiles
-    of the merged histogram equal percentiles of the pooled samples.
-    ``None`` and empty snapshots are skipped.
-    """
-    counters: dict[str, int] = {}
-    gauges: dict[str, float] = {}
-    histograms: dict[str, Histogram] = {}
-    for snapshot in snapshots:
-        if not snapshot:
-            continue
-        for name, value in snapshot.get("counters", {}).items():
-            counters[name] = counters.get(name, 0) + int(value)
-        for name, value in snapshot.get("gauges", {}).items():
-            gauges[name] = gauges.get(name, 0.0) + float(value)
-        for name, wire in snapshot.get("histograms", {}).items():
-            histograms.setdefault(name, Histogram()).merge(
-                Histogram.from_wire(wire)
-            )
-    return {
-        "counters": {name: counters[name] for name in sorted(counters)},
-        "gauges": {name: gauges[name] for name in sorted(gauges)},
-        "histograms": {name: histograms[name].to_wire()
-                       for name in sorted(histograms)},
-    }
 
 
 class MetricsLogWriter:

@@ -14,10 +14,6 @@ docs' stage diagram can never drift apart:
     -> db_append (wal_fsync inside; group_commit is the leader wait)
     -> handler (end-to-end dispatch) -> flush
     db_read replaces validate + db_append on a GET.
-
-A trace's stamps can cross a process boundary as bytes
-(:func:`encode_trace_stages` / :func:`decode_trace_stages`) and fold
-into a trace preseeded with the same id (:meth:`RequestTrace.merge_stages`).
 """
 
 from __future__ import annotations
@@ -25,7 +21,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-import struct
 import threading
 
 __all__ = [
@@ -43,8 +38,6 @@ __all__ = [
     "TraceBuffer",
     "mint_trace_id",
     "format_trace_id",
-    "encode_trace_stages",
-    "decode_trace_stages",
 ]
 
 STAGE_QUEUE_WAIT = "queue_wait"      # frame parsed -> worker dequeues it
@@ -96,20 +89,15 @@ class RequestTrace:
 
     __slots__ = ("op", "trace_id", "stages")
 
-    def __init__(self, op: str = "?", trace_id: int = 0) -> None:
+    def __init__(self, op: str = "?") -> None:
         self.op = op
-        self.trace_id = trace_id if trace_id else mint_trace_id()
+        self.trace_id = mint_trace_id()
         self.stages: dict[str, float] = {}
 
     def stamp(self, stage: str, seconds: float) -> None:
         # A stage can run more than once per request (e.g. wal_fsync
         # under rotation); accumulate.
         self.stages[stage] = self.stages.get(stage, 0.0) + seconds
-
-    def merge_stages(self, stages: dict[str, float]) -> None:
-        """Fold another trace's stamps into this one."""
-        for stage, seconds in stages.items():
-            self.stamp(stage, seconds)
 
     def hex_id(self) -> str:
         return format_trace_id(self.trace_id)
@@ -127,52 +115,6 @@ class RequestTrace:
             if stage in self.stages
         ]
         return " ".join(parts) if parts else "no stages stamped"
-
-
-# ---------------------------------------------------------------------------
-# Trace-context wire form
-# ---------------------------------------------------------------------------
-#
-# u8 entry count, then per entry u8 name length + UTF-8 stage name + f64
-# big-endian seconds.  Stage names are short constants, so u8 lengths
-# are ample; the codec round-trips losslessly (f64 in, f64 out —
-# property-tested in tests/obs).
-
-_F64 = struct.Struct(">d")
-
-
-def encode_trace_stages(stages: dict[str, float]) -> bytes:
-    """Serialise stage stamps (lossless)."""
-    if not stages:
-        return b"\x00"
-    items = list(stages.items())[:255]
-    parts = [bytes((len(items),))]
-    for name, seconds in items:
-        raw = name.encode("utf-8")
-        if len(raw) > 255:
-            raise ValueError(f"stage name too long: {name!r}")
-        parts.append(bytes((len(raw),)))
-        parts.append(raw)
-        parts.append(_F64.pack(float(seconds)))
-    return b"".join(parts)
-
-
-def decode_trace_stages(data: bytes) -> dict[str, float]:
-    """Inverse of :func:`encode_trace_stages`."""
-    if not data:
-        return {}
-    count = data[0]
-    offset = 1
-    stages: dict[str, float] = {}
-    for _ in range(count):
-        name_len = data[offset]
-        offset += 1
-        name = data[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        (seconds,) = _F64.unpack_from(data, offset)
-        offset += _F64.size
-        stages[name] = seconds
-    return stages
 
 
 class TraceBuffer:
@@ -201,10 +143,6 @@ class TraceBuffer:
         if trace is None or not trace.stages:
             return
         total = trace.total()
-        if total <= 0.0:
-            # A partial trace (no handler/queue_wait stamps, e.g. stages
-            # merged in from another process) ranks by its stage sum.
-            total = sum(trace.stages.values())
         if total <= self._floor:
             return
         entry = {

@@ -25,13 +25,16 @@ clients all walk the same segment-aligned page sequence, so a hot page is
 a single dict lookup; every append invalidates the whole page cache (the
 tail page and ``more`` flags may have changed) and pages rebuild lazily.
 
-A per-user side index of top-frame sets supports the adjacency check
-(§III-C2) without deserializing history.
+Per-record metadata lives in three parallel columns (``sig_id``, sender
+uid, top-frame set) beside the segments' blobs; a per-user side index over
+them supports the adjacency check (§III-C2) without deserializing history.
+:meth:`SignatureDatabase.entry` assembles one record on demand.
 
 The database is memory-first but optionally **durable**: give it a
-:class:`~repro.store.SignatureStore` and construction replays the store —
-rebuilding the sharded segments, the dedup map, and the per-user adjacency
-index from the log + checkpoint manifest.  Every append, with a store or
+:class:`~repro.store.SignatureStore` and construction takes the store's
+recovered columns over in bulk — the metadata lists as they are, the
+blobs sliced into sealed segments, the dedup map and the per-user
+adjacency index built in one pass each.  Every append, with a store or
 without, takes the same staged path: stage the entry (and the log record)
 under the append lock, commit the store outside it — the group-committed
 fsync under ``always``, skipped when there is no store — then publish, so
@@ -181,7 +184,7 @@ class SignatureDatabase:
     def __init__(self, segment_size: int = DEFAULT_SEGMENT_SIZE,
                  page_cache_capacity: int = 128, store=None):
         """``store`` is an optional :class:`~repro.store.SignatureStore`:
-        its recovered entries are replayed into memory here, and every
+        its recovered columns are taken over here, and every
         subsequent accepted append is written through to it."""
         if segment_size < 1:
             raise ValueError("segment_size must be positive")
@@ -189,7 +192,11 @@ class SignatureDatabase:
         self._append_lock = threading.Lock()
         self._segments: list[_Segment] = [_Segment(0)]
         self._count = 0  # published last; readers snapshot it lock-free
-        self._entries: list[StoredSignature] = []
+        # One slot per staged entry, index-aligned (blobs live in the
+        # segments).
+        self._sig_ids: list[str] = []
+        self._uids: list[int] = []
+        self._top_frames: list[frozenset] = []
         self._by_sig_id: dict[str, int] = {}
         self._by_user: dict[int, list[int]] = {}  # uid -> entry indices
         self._page_cache = _PageCache(page_cache_capacity)
@@ -204,20 +211,42 @@ class SignatureDatabase:
             store.set_metadata_provider(self)
 
     def _replay_store(self, store) -> None:
-        """Rebuild in-memory state from the store's recovered entries
-        (no re-logging: these records are already on disk)."""
-        with self._append_lock:
-            for entry in store.recovered_entries():
-                if entry.sig_id in self._by_sig_id:
-                    # A healthy log never holds duplicates; if one appears
-                    # anyway, inserting it keeps database indices aligned
-                    # with log indices (skipping would desync them and
-                    # poison every later append).
+        """Take the store's recovered columns over in bulk (no re-logging:
+        these records are already on disk).  The metadata lists become
+        this database's own without a copy."""
+        blobs, sig_ids, uids, top_frames = store.recovered_columns()
+        n = len(blobs)
+        by_sig_id = dict(zip(sig_ids, range(n)))
+        if len(by_sig_id) < n:
+            # A healthy log never holds duplicates; if one appears anyway,
+            # keeping it keeps database indices aligned with log indices
+            # (skipping would desync them and poison every later append).
+            # The later index wins the dedup map, as an append would.
+            seen: set[str] = set()
+            for index, sig_id in enumerate(sig_ids):
+                if sig_id in seen:
                     log.warning("duplicate sig_id %s at log record %d; "
-                                "keeping both", entry.sig_id, entry.index)
-                self._insert_locked(entry.blob, entry.sig_id,
-                                    entry.sender_uid, entry.top_frames)
-                self.replayed_count += 1
+                                "keeping both", sig_id, index)
+                seen.add(sig_id)
+        by_user: dict[int, list[int]] = {}
+        for index, uid in enumerate(uids):
+            by_user.setdefault(uid, []).append(index)
+        size = self._segment_size
+        segments = []
+        for base in range(0, n, size):
+            segment = _Segment(base)
+            segment.blobs = blobs[base:base + size]
+            segments.append(segment)
+        with self._append_lock:
+            if segments:
+                self._segments = segments
+            self._sig_ids = sig_ids
+            self._uids = uids
+            self._top_frames = top_frames
+            self._by_sig_id = by_sig_id
+            self._by_user = by_user
+            self._count = n
+            self.replayed_count = n
             self._page_cache.invalidate()
 
     @property
@@ -270,7 +299,7 @@ class SignatureDatabase:
                 # acking a duplicate must not outrun its durability.
                 index = existing
             else:
-                index = len(self._entries)
+                index = len(self._sig_ids)
                 if store is not None:
                     logged = store.stage_append(blob, signature.sig_id,
                                                 sender_uid,
@@ -294,12 +323,12 @@ class SignatureDatabase:
                     # surfaces it, which is indistinguishable from a
                     # client retry.
                     if (store.rollback_staged(index)
-                            and len(self._entries) == index + 1):
+                            and len(self._sig_ids) == index + 1):
                         self._unstage_locked(index)
                 raise
         with self._append_lock:
-            if index >= len(self._entries) or (
-                    self._entries[index].sig_id != signature.sig_id):
+            if index >= len(self._sig_ids) or (
+                    self._sig_ids[index] != signature.sig_id):
                 # The stager this duplicate piggybacked on rolled its
                 # record back after the group fsync failed.
                 raise OSError("append was rolled back by a failed "
@@ -314,21 +343,15 @@ class SignatureDatabase:
             store.maybe_checkpoint()
         return index
 
-    def checkpoint_metadata(self, lo: int, hi: int) -> list[tuple]:
-        """``(sig_id, top_frames, sender_uid)`` for entries ``[lo, hi)``
-        — the store's checkpoint metadata source once it attaches this
-        database as its provider.  ``_entries`` is append-only and ``hi``
-        never exceeds the published count, so the slice needs no lock."""
-        return [(e.sig_id, tuple(sorted(e.top_frames)), e.sender_uid)
-                for e in self._entries[lo:hi]]
-
-    def _insert_locked(self, blob: bytes, sig_id: str, sender_uid: int,
-                       top_frames: frozenset) -> int:
-        """In-memory append, published immediately (caller holds
-        ``_append_lock`` and the record is durable already: replay)."""
-        index = self._stage_locked(blob, sig_id, sender_uid, top_frames)
-        self._count = index + 1  # publish: readers may now see it
-        return index
+    def checkpoint_metadata(self, lo: int, hi: int
+                            ) -> tuple[list[str], list[tuple]]:
+        """The ``(sig_ids, top_frames)`` columns of entries ``[lo, hi)``,
+        frames as sorted tuples — the store's checkpoint metadata source
+        once it attaches this database as its provider.  The columns are
+        append-only and ``hi`` never exceeds the published count, so the
+        slices need no lock."""
+        return (self._sig_ids[lo:hi],
+                [tuple(sorted(f)) for f in self._top_frames[lo:hi]])
 
     def _stage_locked(self, blob: bytes, sig_id: str, sender_uid: int,
                       top_frames: frozenset) -> int:
@@ -336,20 +359,15 @@ class SignatureDatabase:
         log order and database order stay in lockstep, and a concurrent
         duplicate finds it) but every reader is gated on ``_count``, which
         the caller advances only once the record is durable."""
-        index = len(self._entries)
+        index = len(self._sig_ids)
         tail = self._segments[-1]
         if len(tail.blobs) >= self._segment_size:
             tail = _Segment(index)
             self._segments.append(tail)
-        entry = StoredSignature(
-            index=index,
-            blob=blob,
-            sig_id=sig_id,
-            sender_uid=sender_uid,
-            top_frames=top_frames,
-        )
         tail.append(blob)
-        self._entries.append(entry)
+        self._sig_ids.append(sig_id)
+        self._uids.append(sender_uid)
+        self._top_frames.append(top_frames)
         self._by_sig_id[sig_id] = index
         self._by_user.setdefault(sender_uid, []).append(index)
         return index
@@ -359,14 +377,16 @@ class SignatureDatabase:
         failed and the log rolled the record back (caller holds
         ``_append_lock`` and has checked the entry is still the newest
         and unpublished)."""
-        entry = self._entries.pop()
-        if self._by_sig_id.get(entry.sig_id) == index:
-            del self._by_sig_id[entry.sig_id]
-        indices = self._by_user.get(entry.sender_uid)
+        sig_id = self._sig_ids.pop()
+        uid = self._uids.pop()
+        self._top_frames.pop()
+        if self._by_sig_id.get(sig_id) == index:
+            del self._by_sig_id[sig_id]
+        indices = self._by_user.get(uid)
         if indices and indices[-1] == index:
             indices.pop()
             if not indices:
-                del self._by_user[entry.sender_uid]
+                del self._by_user[uid]
         tail = self._segments[-1]
         tail.pop()
         if not tail.blobs and len(self._segments) > 1:
@@ -440,11 +460,16 @@ class SignatureDatabase:
 
     def user_top_frames(self, uid: int) -> list[frozenset]:
         """Top-frame sets of every signature this user previously sent."""
-        entries = self._entries
-        return [entries[i].top_frames for i in self._by_user.get(uid, [])]
+        top_frames = self._top_frames
+        return [top_frames[i] for i in self._by_user.get(uid, ())]
 
     def entry(self, index: int) -> StoredSignature:
-        return self._entries[index]
+        """Entry ``index``, assembled from the columns."""
+        index = range(len(self._sig_ids))[index]  # IndexError, negatives
+        segment = self._segments[index // self._segment_size]
+        return StoredSignature(index, segment.blobs[index - segment.base],
+                               self._sig_ids[index], self._uids[index],
+                               self._top_frames[index])
 
     def contains(self, sig_id: str) -> bool:
         return sig_id in self._by_sig_id

@@ -3,12 +3,17 @@
 A checkpoint is a snapshot of everything the server would otherwise have
 to *recompute* from the log on restart: how many records are durable, which
 segment files hold them, the per-record metadata (content hash + top-frame
-locations) that normally requires deserializing every blob, the per-user
-record index behind the adjacency check, and the next user id to issue.
+locations) that normally requires deserializing every blob, and the next
+user id to issue.  It holds no per-user index: every log record carries
+its sender's uid, so restart rebuilds the adjacency index (§III-C2) from
+the log itself.
 
 With a manifest present, restart replays only the records *past*
 ``record_count`` — the checkpointed prefix is loaded straight off the
-segment files without CRC re-verification or signature parsing.  A missing,
+segment files without CRC re-verification or signature parsing.  The
+decoder produces the metadata as two columns (``sig_ids`` and
+``top_frames``, one frozenset of locations per record) that the store and
+the database take over as they are.  A missing,
 torn, or inconsistent manifest is never fatal: the store falls back to a
 full validating replay of the log (the manifest is an accelerator, the log
 is the truth).
@@ -65,10 +70,11 @@ class Manifest:
     record_count: int
     segment_records: int
     segments: list[str] = field(default_factory=list)
-    #: One ``(sig_id, top_frame_locations)`` per checkpointed record.
-    entries: list[tuple[str, tuple[Location, ...]]] = field(default_factory=list)
-    #: uid -> record indices (the adjacency-index snapshot, §III-C2).
-    users: dict[int, list[int]] = field(default_factory=dict)
+    #: Content hash of each checkpointed record, in record order.
+    sig_ids: list[str] = field(default_factory=list)
+    #: Top-frame locations of each checkpointed record, parallel to
+    #: ``sig_ids``: sorted tuples when written, frozensets once decoded.
+    top_frames: list = field(default_factory=list)
     #: Restart continuity for :class:`~repro.crypto.userid.UserIdAuthority`.
     next_uid: int = 1
     #: ``record_count`` of the on-disk ``MANIFEST.json`` this object was
@@ -82,11 +88,7 @@ class Manifest:
             "record_count": self.record_count,
             "segment_records": self.segment_records,
             "segments": list(self.segments),
-            "entries": [
-                [sig_id, [list(loc) for loc in frames]]
-                for sig_id, frames in self.entries
-            ],
-            "users": {str(uid): idxs for uid, idxs in self.users.items()},
+            "entries": _encode_rows(self.sig_ids, self.top_frames),
             "next_uid": self.next_uid,
         }
 
@@ -101,29 +103,40 @@ class Manifest:
                 f"nonsensical manifest counts (records={record_count}, "
                 f"segment_records={segment_records})"
             )
-        entries = [
-            (str(sig_id), tuple((str(c), str(m), int(line))
-                                for c, m, line in frames))
-            for sig_id, frames in obj["entries"]
-        ]
-        if len(entries) != record_count:
+        rows = obj["entries"]
+        if len(rows) != record_count:
             raise ValueError(
-                f"manifest lists {len(entries)} entries for "
+                f"manifest lists {len(rows)} entries for "
                 f"{record_count} records"
             )
-        users = {int(uid): [int(i) for i in idxs]
-                 for uid, idxs in obj.get("users", {}).items()}
-        for idxs in users.values():
-            if any(i < 0 or i >= record_count for i in idxs):
-                raise ValueError("manifest user index out of range")
+        sig_ids, top_frames = _decode_rows(rows)
         return Manifest(
             record_count=record_count,
             segment_records=segment_records,
             segments=[str(s) for s in obj.get("segments", [])],
-            entries=entries,
-            users=users,
+            sig_ids=sig_ids,
+            top_frames=top_frames,
             next_uid=int(obj.get("next_uid", 1)),
         )
+
+
+def _encode_rows(sig_ids: list[str], top_frames: list) -> list[list]:
+    """``[sig_id, [[class, method, line], ...]]`` per record."""
+    return [[sig_id, [list(loc) for loc in frames]]
+            for sig_id, frames in zip(sig_ids, top_frames)]
+
+
+def _decode_rows(rows: list) -> tuple[list[str], list[frozenset]]:
+    """Inverse of :func:`_encode_rows`, straight into the ``(sig_ids,
+    top_frames)`` columns; fields past the frames (the uid that delta
+    lines and manifests written before the per-user index was dropped
+    carry) are ignored."""
+    sig_ids = [str(row[0]) for row in rows]
+    top_frames = [
+        frozenset([(str(c), str(m), int(line)) for c, m, line in row[1]])
+        for row in rows
+    ]
+    return sig_ids, top_frames
 
 
 def manifest_path(data_dir: str) -> str:
@@ -188,7 +201,7 @@ def load_manifest(data_dir: str) -> Manifest | None:
         return Manifest.decode(obj)
     except FileNotFoundError:
         return None
-    except (ValueError, KeyError, TypeError, OSError) as exc:
+    except (ValueError, KeyError, TypeError, IndexError, OSError) as exc:
         log.warning("ignoring unusable manifest %s (%s); will fully replay",
                     path, exc)
         return None
@@ -200,24 +213,20 @@ def manifest_delta_path(data_dir: str) -> str:
 
 
 def append_manifest_delta(data_dir: str, base_count: int, from_count: int,
-                          entries: list[tuple[str, tuple[Location, ...], int]],
+                          sig_ids: list[str],
+                          top_frames: list[tuple[Location, ...]],
                           next_uid: int) -> None:
     """Append one checkpoint delta line covering records
-    ``[from_count, from_count + len(entries))``.
+    ``[from_count, from_count + len(sig_ids))``.
 
     ``base_count`` pins the delta chain to the full manifest it extends
-    (its ``record_count``); ``entries`` carry ``(sig_id, top_frames,
-    sender_uid)`` — the uid rides along so the composed manifest can
-    rebuild the per-user adjacency index without a second structure.  The
-    line is flushed and fsynced before returning: a checkpoint must never
-    vouch for records less durable than itself."""
+    (its ``record_count``); ``sig_ids``/``top_frames`` are the records'
+    metadata columns.  The line is flushed and fsynced before returning:
+    a checkpoint must never vouch for records less durable than itself."""
     line = json.dumps({
         "base": base_count,
         "from": from_count,
-        "entries": [
-            [sig_id, [list(loc) for loc in frames], uid]
-            for sig_id, frames, uid in entries
-        ],
+        "entries": _encode_rows(sig_ids, top_frames),
         "next_uid": next_uid,
     }, separators=(",", ":"))
     path = manifest_delta_path(data_dir)
@@ -272,21 +281,15 @@ def load_manifest_with_deltas(data_dir: str) -> Manifest | None:
                 raise ValueError(
                     f"delta from {obj['from']} != composed "
                     f"{manifest.record_count}")
-            entries = [
-                (str(sig_id), tuple((str(c), str(m), int(ln))
-                                    for c, m, ln in frames), int(uid))
-                for sig_id, frames, uid in obj["entries"]
-            ]
+            sig_ids, top_frames = _decode_rows(obj["entries"])
             next_uid = int(obj.get("next_uid", 1))
         except (ValueError, KeyError, TypeError, IndexError) as exc:
             log.warning("stopping manifest-delta composition at line %d "
                         "of %s (%s); later records replay from the log",
                         lineno + 1, path, exc)
             break
-        for sig_id, frames, uid in entries:
-            index = manifest.record_count
-            manifest.entries.append((sig_id, frames))
-            manifest.users.setdefault(uid, []).append(index)
-            manifest.record_count = index + 1
+        manifest.sig_ids.extend(sig_ids)
+        manifest.top_frames.extend(top_frames)
+        manifest.record_count += len(sig_ids)
         manifest.next_uid = max(manifest.next_uid, next_uid)
     return manifest

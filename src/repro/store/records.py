@@ -14,17 +14,19 @@ where ``len`` counts the *payload* bytes and ``crc32`` is
 and the sender's uid is not part of the signature blob itself.
 
 Torn tails are expected: a crash can leave a partial header, a partial
-payload, or a payload whose checksum no longer matches.  :func:`scan_records`
-therefore never raises on damage — it returns every record of the longest
-valid prefix plus the byte offset where that prefix ends, and the caller
-truncates the file there.
+payload, or a payload whose checksum no longer matches.  :func:`scan_into`
+therefore never raises on damage — it appends every record of the longest
+valid prefix to the caller's ``uids``/``blobs`` columns and returns the
+byte offset where that prefix ends, and the caller truncates the file
+there.  Recovery keeps the records as those two columns end to end;
+:func:`scan_records` is the same scan as a list of :class:`LogRecord`.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
+from typing import NamedTuple
 
 _HEADER = struct.Struct(">II")
 _UID = struct.Struct(">Q")
@@ -37,8 +39,7 @@ HEADER_BYTES = _HEADER.size
 MAX_PAYLOAD_BYTES = 16 * 1024 * 1024
 
 
-@dataclass(frozen=True)
-class LogRecord:
+class LogRecord(NamedTuple):
     """One recovered record: the signature blob plus its sender."""
 
     sender_uid: int
@@ -63,30 +64,45 @@ def unpack_payload(payload: bytes) -> LogRecord:
     return LogRecord(_UID.unpack_from(payload)[0], payload[_UID.size:])
 
 
-def scan_records(data: bytes, *, verify_crc: bool = True
-                 ) -> tuple[list[LogRecord], int]:
-    """``(records, valid_bytes)`` — the longest valid record prefix.
+def scan_into(data: bytes, uids: list[int], blobs: list[bytes], *,
+              verify_crc: bool = True) -> int:
+    """Append the longest valid record prefix of ``data`` to the parallel
+    ``uids``/``blobs`` columns; return the offset just past it.
 
-    ``valid_bytes`` is the offset just past the last valid record; anything
-    beyond it is a torn tail (partial write or corruption) the caller
-    should truncate away.  With ``verify_crc`` off, checksums are skipped —
-    the checkpointed-prefix fast path, where the manifest already vouches
-    for the records — but framing is still parsed to slice the payloads.
+    Anything beyond that offset is a torn tail (partial write or
+    corruption) the caller should truncate away.  Each blob is sliced out
+    of ``data`` once; the checksum runs over a ``memoryview`` of the
+    payload and the uid is unpacked in place, so no payload is copied on
+    the way.  With ``verify_crc`` off, checksums are skipped — the
+    checkpointed-prefix fast path, where the manifest already vouches for
+    the records — but framing is still parsed to slice the blobs.
     """
-    records: list[LogRecord] = []
+    header_at = _HEADER.unpack_from
+    uid_at = _UID.unpack_from
+    crc32 = zlib.crc32
+    view = memoryview(data)
     offset = 0
     total = len(data)
-    while True:
-        if offset + HEADER_BYTES > total:
-            return records, offset
-        length, crc = _HEADER.unpack_from(data, offset)
+    while offset + HEADER_BYTES <= total:
+        length, crc = header_at(data, offset)
         if length < _UID.size or length > MAX_PAYLOAD_BYTES:
-            return records, offset
-        end = offset + HEADER_BYTES + length
+            break
+        start = offset + HEADER_BYTES
+        end = start + length
         if end > total:
-            return records, offset
-        payload = data[offset + HEADER_BYTES:end]
-        if verify_crc and zlib.crc32(payload) != crc:
-            return records, offset
-        records.append(unpack_payload(payload))
+            break
+        if verify_crc and crc32(view[start:end]) != crc:
+            break
+        uids.append(uid_at(data, start)[0])
+        blobs.append(data[start + _UID.size:end])
         offset = end
+    return offset
+
+
+def scan_records(data: bytes, *, verify_crc: bool = True
+                 ) -> tuple[list[LogRecord], int]:
+    """``(records, valid_bytes)`` — :func:`scan_into` as one list."""
+    uids: list[int] = []
+    blobs: list[bytes] = []
+    valid_bytes = scan_into(data, uids, blobs, verify_crc=verify_crc)
+    return list(map(LogRecord, uids, blobs)), valid_bytes

@@ -11,15 +11,17 @@
   :meth:`~SignatureStore.append` is those calls for a caller without a
   lock of its own;
 * **checkpoints** snapshot the derived metadata (content hashes, top-frame
-  locations, the per-user adjacency index, the next user id) into
-  ``MANIFEST.json`` so a restart can load the checkpointed prefix without
-  re-validating it;
+  locations, the next user id) into ``MANIFEST.json`` so a restart can
+  load the checkpointed prefix without re-validating it;
 * **opening** a data directory replays: segment files are scanned (CRC
-  verified only past the checkpoint), torn tails truncated, and each
-  record surfaces as a :class:`RecoveredEntry` ready to be loaded into
-  :class:`~repro.server.database.SignatureDatabase` — blobs, dedup hash,
-  sender uid, and top frames, with signature *parsing* needed only for the
-  tail records the manifest does not cover.
+  verified only past the checkpoint), torn tails truncated, and the
+  records surface as four parallel **columns** — blobs, dedup hashes,
+  sender uids and top frames — that
+  :class:`~repro.server.database.SignatureDatabase` takes over in bulk
+  (:meth:`~SignatureStore.recovered_columns`).  The prefix the manifest
+  covers comes straight from its decoded columns; signature *parsing* is
+  needed only for the tail records past it.  No per-record object is
+  built on the way, and the cyclic GC is paused for the open.
 
 A manifest that disagrees with the log (it claims more records than the
 log actually holds — e.g. a checkpoint survived but log segments were
@@ -29,9 +31,10 @@ the log, not the manifest, is the source of truth.
 
 from __future__ import annotations
 
+import gc
 import os
 import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.signature import DeadlockSignature, ORIGIN_REMOTE
 from repro.store.checkpoint import (
@@ -43,7 +46,6 @@ from repro.store.checkpoint import (
     write_manifest,
     write_uid_watermark,
 )
-from repro.store.records import LogRecord
 from repro.store.wal import (
     DEFAULT_SEGMENT_RECORDS,
     SegmentedLog,
@@ -60,8 +62,7 @@ class StoreError(Exception):
     crash damage is always repaired silently)."""
 
 
-@dataclass(frozen=True)
-class RecoveredEntry:
+class RecoveredEntry(NamedTuple):
     """One replayed record with everything the database needs to rebuild
     its in-memory state without re-deriving it."""
 
@@ -86,15 +87,36 @@ class SignatureStore:
         self._ckpt_lock = threading.Lock()  # one manifest writer at a time
         self._ckpt_failed_at = 0  # record count when a checkpoint last failed
         self._checkpoints_written = 0  # manifests/deltas written here
-        # Derived metadata mirrors (one slot per record) for checkpoints.
-        # Dropped entirely once a metadata provider is attached
-        # (set_metadata_provider) — the database already holds all three.
-        self._sig_ids: list[str] | None = []
-        self._top_frames: list[tuple] | None = []
-        self._uids: list[int] | None = []
         self._provider = None  # duck-typed: __len__ + checkpoint_metadata
         self._next_uid = 1
         os.makedirs(data_dir, exist_ok=True)
+        # Recovery allocates a few hundred thousand acyclic containers (the
+        # manifest's decoded JSON); with the cyclic GC on, every generation
+        # threshold they cross re-walks the growing heap for nothing.
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            manifest = self._open_log(data_dir, segment_records)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+        if manifest:
+            self._next_uid = max(self._next_uid, manifest.next_uid)
+        # The eager sidecar outruns the periodic manifest: a token issued
+        # right before kill -9 is covered by it alone.
+        self._next_uid = max(self._next_uid, load_uid_watermark(data_dir))
+        self._persisted_uid = self._next_uid
+        self.recovery = self._log.recovery
+        self.replayed_past_checkpoint = (
+            len(self._blobs) - self._checkpoint_count
+        )
+
+    # ------------------------------------------------------------- recovery
+    def _open_log(self, data_dir: str,
+                  segment_records: int) -> Manifest | None:
+        """Open the log against the effective manifest and rebuild the
+        columns; returns the manifest recovery trusted (``None`` for a
+        full validating replay)."""
         manifest = load_manifest_with_deltas(data_dir)
         if manifest and manifest.segment_records != segment_records:
             # The directory's segmentation is a property of its files, not
@@ -135,66 +157,65 @@ class SignatureStore:
             # fresh full manifest.
             self._manifest_base = (manifest.base_record_count
                                    if manifest else None)
-            self._replayed = self._build_entries(
-                self._log.recovered_records(), manifest
-            )
+            self._build_entries(*self._log.recovered_columns(), manifest)
         except Exception:
             self._log.close()  # don't leak the fd
             raise
-        if manifest:
-            self._next_uid = max(self._next_uid, manifest.next_uid)
-        # The eager sidecar outruns the periodic manifest: a token issued
-        # right before kill -9 is covered by it alone.
-        self._next_uid = max(self._next_uid, load_uid_watermark(data_dir))
-        self._persisted_uid = self._next_uid
-        self.recovery = self._log.recovery
-        self.replayed_past_checkpoint = (
-            len(self._replayed) - self._checkpoint_count
-        )
+        return manifest
 
-    # ------------------------------------------------------------- recovery
-    def _build_entries(self, records: list[LogRecord],
-                       manifest: Manifest | None) -> list[RecoveredEntry]:
-        entries: list[RecoveredEntry] = []
-        checkpointed = manifest.record_count if manifest else 0
-        for index, record in enumerate(records):
-            if index < checkpointed:
-                sig_id, frames = manifest.entries[index]
-                top_frames = frozenset(frames)
-            else:
-                try:
-                    signature = DeadlockSignature.from_bytes(
-                        record.blob, origin=ORIGIN_REMOTE
-                    )
-                except ValidationError as exc:
-                    # CRC-valid but unparseable: the record was never a
-                    # validated signature, which only a writer bug produces.
-                    raise StoreError(
-                        f"record {index} is checksummed but not a valid "
-                        f"signature: {exc}"
-                    ) from exc
-                sig_id = signature.sig_id
-                top_frames = signature.top_frames
-            entries.append(RecoveredEntry(
-                index=index,
-                blob=record.blob,
-                sig_id=sig_id,
-                sender_uid=record.sender_uid,
-                top_frames=top_frames,
-            ))
-            self._sig_ids.append(sig_id)
-            self._top_frames.append(tuple(sorted(top_frames)))
-            # The log record itself carries the uid, so the per-user index
-            # needs no manifest snapshot — it is rebuilt on demand from
-            # this per-record list (checkpoints walk only their slice).
-            self._uids.append(record.sender_uid)
-            self._next_uid = max(self._next_uid, record.sender_uid + 1)
-        return entries
+    def _build_entries(self, uids: list[int], blobs: list[bytes],
+                       manifest: Manifest | None) -> None:
+        """Fill the four recovered columns.  The checkpointed prefix's
+        metadata is the manifest's decoded columns as they are; only the
+        records past it are parsed.  The log's uids column is the source of
+        the per-user index, so the manifest carries none.
+
+        ``_sig_ids`` / ``_uids`` / ``_top_frames`` then stay the store's
+        per-record metadata mirrors (appends extend them) until a metadata
+        provider takes them over; ``_blobs`` is handed out once."""
+        sig_ids = manifest.sig_ids if manifest else []
+        top_frames = manifest.top_frames if manifest else []
+        for index in range(len(sig_ids), len(blobs)):
+            try:
+                signature = DeadlockSignature.from_bytes(
+                    blobs[index], origin=ORIGIN_REMOTE
+                )
+            except ValidationError as exc:
+                # CRC-valid but unparseable: the record was never a
+                # validated signature, which only a writer bug produces.
+                raise StoreError(
+                    f"record {index} is checksummed but not a valid "
+                    f"signature: {exc}"
+                ) from exc
+            sig_ids.append(signature.sig_id)
+            top_frames.append(signature.top_frames)
+        self._blobs = blobs
+        self._sig_ids = sig_ids
+        self._uids = uids
+        self._top_frames = top_frames
+        if uids:
+            self._next_uid = max(self._next_uid, max(uids) + 1)
+
+    def recovered_columns(self) -> tuple[list[bytes], list[str],
+                                         list[int], list[frozenset]]:
+        """The replayed records as four parallel columns ``(blobs,
+        sig_ids, uids, top_frames)`` — the database's bulk load (consumed
+        once: a second call returns empty columns).
+
+        The three metadata columns are the store's own mirrors, shared
+        rather than copied: the caller must attach itself with
+        :meth:`set_metadata_provider` before the next append, which drops
+        the store's references."""
+        blobs, self._blobs = self._blobs, []
+        if not blobs:
+            return [], [], [], []
+        return blobs, self._sig_ids, self._uids, self._top_frames
 
     def recovered_entries(self) -> list[RecoveredEntry]:
-        """The replayed records (consumed once, by the database load)."""
-        entries, self._replayed = self._replayed, []
-        return entries
+        """:meth:`recovered_columns` as entries (consumed once); the store
+        keeps its mirrors."""
+        columns = self.recovered_columns()
+        return list(map(RecoveredEntry, range(len(columns[0])), *columns))
 
     def set_metadata_provider(self, provider) -> None:
         """Stop mirroring per-record metadata; pull it from ``provider``
@@ -203,13 +224,14 @@ class SignatureStore:
         ``provider`` (in practice the
         :class:`~repro.server.database.SignatureDatabase` writing through
         this store) must expose ``__len__`` and
-        ``checkpoint_metadata(lo, hi)`` returning ``(sig_id, top_frames,
-        sender_uid)`` per record.  Since the database already keeps every
-        one of those fields, dropping the store's own ``_sig_ids`` /
-        ``_top_frames`` / ``_uids`` lists halves the per-record metadata
-        footprint at million-signature scale.  The provider must be in
-        lockstep with the log when attached (the database attaches itself
-        right after replaying this store)."""
+        ``checkpoint_metadata(lo, hi)`` returning the ``(sig_ids,
+        top_frames)`` columns of those records, frames as sorted tuples.
+        The database took the store's ``_sig_ids`` / ``_top_frames`` /
+        ``_uids`` lists over at replay, so dropping the store's references
+        leaves one copy of the metadata, not two, at million-signature
+        scale.  The provider must be in lockstep with the log when
+        attached (the database attaches itself right after replaying this
+        store)."""
         with self._lock:
             if len(provider) != self._log.record_count:
                 raise StoreError(
@@ -270,7 +292,7 @@ class SignatureStore:
             index = self._log.append_unflushed(blob, sender_uid)
             if self._provider is None:
                 self._sig_ids.append(sig_id)
-                self._top_frames.append(tuple(sorted(top_frames)))
+                self._top_frames.append(top_frames)
                 self._uids.append(sender_uid)
             self._next_uid = max(self._next_uid, sender_uid + 1)
             return index
@@ -344,15 +366,17 @@ class SignatureStore:
             self._persisted_uid = max(self._persisted_uid, value)
 
     # ---------------------------------------------------------- checkpoints
-    def _metadata_slice(self, lo: int, hi: int) -> list[tuple]:
-        """``(sig_id, top_frames, sender_uid)`` for records ``[lo, hi)``,
-        from the provider (append-only, so a bare slice is safe) or the
-        local mirrors."""
+    def _metadata_slice(self, lo: int, hi: int
+                        ) -> tuple[list[str], list[tuple]]:
+        """The ``(sig_ids, top_frames)`` columns of records ``[lo, hi)``,
+        frames sorted into tuples for the manifest, from the provider
+        (append-only, so a bare slice is safe) or the local mirrors."""
         if self._provider is not None:
             return self._provider.checkpoint_metadata(lo, hi)
         with self._lock:
-            return list(zip(self._sig_ids[lo:hi], self._top_frames[lo:hi],
-                            self._uids[lo:hi]))
+            sig_ids = self._sig_ids[lo:hi]
+            frames = self._top_frames[lo:hi]
+        return sig_ids, [tuple(sorted(f)) for f in frames]
 
     def checkpoint(self, full: bool = False) -> Manifest | None:
         """Flush the log, then persist a checkpoint.
@@ -383,25 +407,22 @@ class SignatureStore:
             covered = self._checkpoint_count
             base = self._manifest_base
             if (not full and base is not None and base <= covered < count):
-                delta = self._metadata_slice(covered, count)
+                sig_ids, frames = self._metadata_slice(covered, count)
                 self._log.flush()  # records [0, count) durable past here
-                append_manifest_delta(self.data_dir, base, covered, delta,
-                                      next_uid)
+                append_manifest_delta(self.data_dir, base, covered, sig_ids,
+                                      frames, next_uid)
                 with self._lock:
                     self._checkpoint_count = max(self._checkpoint_count,
                                                  count)
                     self._checkpoints_written += 1
                 return None
-            meta = self._metadata_slice(0, count)
-            users: dict[int, list[int]] = {}
-            for index, (_sig_id, _frames, uid) in enumerate(meta):
-                users.setdefault(uid, []).append(index)
+            sig_ids, frames = self._metadata_slice(0, count)
             manifest = Manifest(
                 record_count=count,
                 segment_records=self._log.segment_records,
                 segments=self._log.segment_names(),
-                entries=[(sig_id, frames) for sig_id, frames, _uid in meta],
-                users=users,
+                sig_ids=sig_ids,
+                top_frames=frames,
                 next_uid=next_uid,
             )
             self._log.flush()  # records [0, count) durable past this line

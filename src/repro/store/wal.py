@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from time import perf_counter
 
 from repro.obs import STAGE_GROUP_COMMIT, STAGE_WAL_FSYNC
-from repro.store.records import LogRecord, pack_record, scan_records
+from repro.store.records import LogRecord, pack_record, scan_into
 from repro.util.logging import get_logger
 
 log = get_logger("store.wal")
@@ -142,10 +142,12 @@ class SegmentedLog:
         self._open_tail()
 
     # ------------------------------------------------------------- recovery
-    def _recover(self) -> list[LogRecord]:
+    def _recover(self) -> tuple[list[int], list[bytes]]:
         """Scan segments in order; truncate the torn tail; orphan anything
-        past a damaged segment.  Returns every recovered record."""
-        records: list[LogRecord] = []
+        past a damaged segment.  Returns every recovered record as the
+        parallel ``(uids, blobs)`` columns."""
+        uids: list[int] = []
+        blobs: list[bytes] = []
         report = self.recovery
         segments = list_segments(self.data_dir)
         broken_at: int | None = None
@@ -166,14 +168,16 @@ class SegmentedLog:
             # written; parse its framing but skip the CRC pass.
             verify = ((position + 1) * self.segment_records
                       > self.trusted_records)
-            found, valid_bytes = scan_records(data, verify_crc=verify)
-            if len(found) > self.segment_records:
+            before = len(blobs)
+            valid_bytes = scan_into(data, uids, blobs, verify_crc=verify)
+            found = len(blobs) - before
+            if found > self.segment_records:
                 # More records than one segment can hold: the directory
                 # was written under a different segmentation.  Refusing is
                 # the only safe move — the seq/index math below would
                 # silently misplace the tail.
                 raise ValueError(
-                    f"{name} holds {len(found)} records but this log is "
+                    f"{name} holds {found} records but this log is "
                     f"configured for {self.segment_records} per segment; "
                     "reopen with the segmentation the data dir was "
                     "written with"
@@ -182,11 +186,10 @@ class SegmentedLog:
             if torn:
                 log.warning("torn tail in %s: truncating %d byte(s) after "
                             "record %d", name, len(data) - valid_bytes,
-                            len(records) + len(found))
+                            len(blobs))
                 report.truncated_bytes += len(data) - valid_bytes
                 self._truncate(path, valid_bytes)
-            records.extend(found)
-            if len(found) < self.segment_records:
+            if found < self.segment_records:
                 # A short segment is only legal as the live tail.  When a
                 # *cleanly*-short one (no torn bytes — every byte parsed)
                 # has segments after it and no manifest vouches for the
@@ -196,19 +199,19 @@ class SegmentedLog:
                 if (position < len(segments) - 1 and not torn
                         and self.trusted_records == 0):
                     raise ValueError(
-                        f"{name} holds {len(found)} records (expected "
+                        f"{name} holds {found} records (expected "
                         f"{self.segment_records}) yet further segments "
                         "follow and no manifest describes the layout; "
                         "reopen with the segmentation this directory was "
                         "written with, or restore MANIFEST.json"
                     )
                 broken_at = position + 1
-        self._count = len(records)
+        self._count = len(blobs)
         self._tail_seq = self._count // self.segment_records
         self._tail_records = self._count % self.segment_records
         report.record_count = self._count
         report.segment_count = self._tail_seq + (1 if self._tail_records else 0)
-        return records
+        return uids, blobs
 
     def _orphan(self, name: str) -> None:
         src = os.path.join(self.data_dir, name)
@@ -227,10 +230,15 @@ class SegmentedLog:
             fh.flush()
             os.fsync(fh.fileno())
 
+    def recovered_columns(self) -> tuple[list[int], list[bytes]]:
+        """The records found at open time as parallel ``(uids, blobs)``
+        columns (consumed once, by the store)."""
+        columns, self._recovered = self._recovered, ([], [])
+        return columns
+
     def recovered_records(self) -> list[LogRecord]:
-        """The records found at open time (consumed once by the store)."""
-        records, self._recovered = self._recovered, []
-        return records
+        """:meth:`recovered_columns` as :class:`LogRecord` objects."""
+        return list(map(LogRecord, *self.recovered_columns()))
 
     # -------------------------------------------------------------- writing
     def _open_tail(self) -> None:

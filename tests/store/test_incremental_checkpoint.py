@@ -96,11 +96,13 @@ class TestCompose:
         _populate(tmp_path, signatures[:11], fsync="always",
                   checkpoint_every=4).close(final_checkpoint=False)
         store = SignatureStore(str(tmp_path))
-        store.recovered_entries()
+        # The per-user index comes from each record's uid in the log, the
+        # composed prefix included.
+        entries = store.recovered_entries()
+        assert [e.sender_uid for e in entries] == [i % 3 + 1
+                                                  for i in range(11)]
         manifest = store.checkpoint(full=True)  # built from composed state
-        assert manifest.users == {
-            1: [0, 3, 6, 9], 2: [1, 4, 7, 10], 3: [2, 5, 8],
-        }
+        assert manifest.sig_ids == [s.sig_id for s in signatures[:11]]
         store.close(final_checkpoint=False)
 
     def test_torn_delta_line_stops_composition_cleanly(self, tmp_path,

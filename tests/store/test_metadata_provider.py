@@ -79,11 +79,9 @@ class TestCheckpointThroughProvider:
             _add(database, sig, i % 3 + 1)
         manifest = database.store.checkpoint(full=True)
         assert manifest.record_count == len(signatures)
-        assert manifest.users == {
-            1: [i for i in range(12) if i % 3 == 0],
-            2: [i for i in range(12) if i % 3 == 1],
-            3: [i for i in range(12) if i % 3 == 2],
-        }
+        assert manifest.sig_ids == [s.sig_id for s in signatures]
+        assert manifest.top_frames == [tuple(sorted(s.top_frames))
+                                       for s in signatures]
         database.store.close(final_checkpoint=False)
         # A cold store (mirror path: no provider until a database replays
         # it) composes the same view from the manifest.
@@ -119,11 +117,10 @@ class TestCheckpointThroughProvider:
         database = _db_with_store(tmp_path, fsync="never")
         for i, sig in enumerate(signatures[:6]):
             _add(database, sig, i + 1)
-        rows = database.checkpoint_metadata(2, 5)
-        assert [uid for _, _, uid in rows] == [3, 4, 5]
-        assert [sig_id for sig_id, _, _ in rows] == [
-            s.sig_id for s in signatures[2:5]
-        ]
+        sig_ids, frames = database.checkpoint_metadata(2, 5)
+        assert sig_ids == [s.sig_id for s in signatures[2:5]]
+        assert frames == [tuple(sorted(s.top_frames))
+                          for s in signatures[2:5]]
         database.store.close(final_checkpoint=False)
 
     def test_duplicate_append_keeps_lockstep(self, tmp_path, signatures):

@@ -67,10 +67,11 @@ class TestCheckpoint:
         assert manifest.segment_records == 4
         assert manifest.segments == ["segment-00000000.cxlog",
                                      "segment-00000001.cxlog"]
-        assert [sig_id for sig_id, _ in manifest.entries] == [
-            s.sig_id for s in signatures[:6]
-        ]
-        assert manifest.users == {1: [0, 3], 2: [1, 4], 3: [2, 5]}
+        assert manifest.sig_ids == [s.sig_id for s in signatures[:6]]
+        assert manifest.top_frames == [s.top_frames for s in signatures[:6]]
+        # No per-user index: every log record carries its uid.
+        with open(manifest_path(str(tmp_path))) as fh:
+            assert "users" not in json.load(fh)
         assert manifest.next_uid == 4
         store.close()
 
@@ -192,15 +193,17 @@ class TestTailOnlyReplay:
         assert len(good.recovered_entries()) == 8
         good.close()
 
-    def test_checkpointed_reopen_restores_user_index_from_manifest(
+    def test_checkpointed_reopen_restores_user_index_from_the_log(
             self, tmp_path, signatures):
         store = _populate(tmp_path, signatures[:6], fsync="never",
                           segment_records=4)
         store.close()  # manifest covers all 6
         reopened = SignatureStore(str(tmp_path), segment_records=4)
-        reopened.recovered_entries()
-        manifest = reopened.checkpoint()
-        assert manifest.users == {1: [0, 3], 2: [1, 4], 3: [2, 5]}
+        assert reopened.replayed_past_checkpoint == 0
+        # The checkpointed prefix was not parsed, yet every record's
+        # sender is back: the uid rides in the log record itself.
+        entries = reopened.recovered_entries()
+        assert [e.sender_uid for e in entries] == [1, 2, 3, 1, 2, 3]
         reopened.close()
 
     def test_corrupt_manifest_is_ignored(self, tmp_path, signatures):
