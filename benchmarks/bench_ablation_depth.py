@@ -22,7 +22,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import write_artifact
-from benchmarks.dos_common import attacked_runtime, benchmark_gil
+from benchmarks.dos_common import attacked_runtime, benchmark_gil, spread
 from repro.sim.apps import APP_WORKLOADS, measure_overhead
 
 WORKLOADS = ("jboss_rubis", "eclipse", "vuze")
@@ -61,12 +61,13 @@ def test_ablation_depth(benchmark, workload_name, mode, depth, results_dir):
         lines = [
             "Depth ablation — overhead vs vanilla (20 signatures unless empty)",
             f"{'workload':<16s} {'mode':<10s} {'depth':>5s} "
-            f"{'overhead%':>9s} {'blocks':>7s}",
+            f"{'overhead%':>9s} {'spread':>12s} {'blocks':>7s}",
         ]
         for (wl, m, d), r in sorted(_rows.items()):
             lines.append(
                 f"{wl:<16s} {m:<10s} {d:5d} "
-                f"{r['overhead_percent']:8.0f}% {r['avoidance_blocks']:7d}"
+                f"{r['overhead_percent']:8.0f}% {spread(r):>12s} "
+                f"{r['avoidance_blocks']:7d}"
             )
         # The in-text claims, stated explicitly:
         for wl in WORKLOADS:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import write_artifact
-from benchmarks.dos_common import attacked_runtime, benchmark_gil
+from benchmarks.dos_common import attacked_runtime, benchmark_gil, spread
 from repro.sim.apps import APP_WORKLOADS, measure_overhead
 
 PAPER = {
@@ -62,14 +62,15 @@ def test_table2_dos_overhead(benchmark, workload_name, results_dir):
             "Table II — worst-case overhead under a DoS attack "
             "(20 critical-path depth-5 signatures)",
             f"{'Application':<14s} {'Benchmark/Test':<20s} "
-            f"{'Overhead':>9s} {'(paper)':>8s} {'blocks':>7s}",
+            f"{'Overhead':>9s} {'spread':>12s} {'(paper)':>8s} {'blocks':>7s}",
         ]
         for name in APP_WORKLOADS:
             app, bench_name, paper_pct = PAPER[name]
             r = _rows[name]
             lines.append(
                 f"{app:<14s} {bench_name:<20s} "
-                f"{r['overhead_percent']:8.0f}% {paper_pct:7d}% "
+                f"{r['overhead_percent']:8.0f}% {spread(r):>12s} "
+                f"{paper_pct:7d}% "
                 f"{r['avoidance_blocks']:7d}"
             )
         write_artifact(results_dir, "table2_dos_overhead.txt", lines)

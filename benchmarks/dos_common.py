@@ -40,6 +40,11 @@ def benchmark_gil():
         sys.setswitchinterval(previous)
 
 
+def spread(result: dict) -> str:
+    """The min..max paired overhead of a ``measure_overhead`` result."""
+    return f"{result['overhead_min']:.0f}..{result['overhead_max']:.0f}%"
+
+
 def bench_config(**overrides) -> DimmunixConfig:
     defaults = dict(
         detection_interval=0.05,

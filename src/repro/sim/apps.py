@@ -255,27 +255,30 @@ def measure_overhead(spec: WorkloadSpec, runtime: DimmunixRuntime,
 
     The vanilla run uses plain ``threading.Lock``; the immunized run uses
     Dimmunix locks bound to ``runtime`` (whose history the caller prepares —
-    empty, critical-path signatures, off-path signatures, ...).  The vanilla
-    baseline takes the best (min) of the repeats; the immunized side takes
-    the median — avoidance suspensions make its distribution wide and
-    skewed, and the median is what a user experiences.
+    empty, critical-path signatures, off-path signatures, ...).  The two run
+    as ``repeats`` interleaved pairs, each pair on the same seed, so both
+    sides see the same box and the same schedule of work.  One estimator
+    serves both sides: the overhead is the median of the paired ratios (a
+    user feels the median, and avoidance suspensions make the immunized
+    distribution wide and skewed), and ``overhead_min``/``overhead_max`` are
+    the extreme pairs, the spread a rerun should land inside.
     """
-    vanilla = min(
-        AppWorkload(spec, lock_factory=None, seed=seed + i).run()
-        for i in range(repeats)
-    )
     factory = dimmunix_lock_factory(runtime)
-    immunized = _median(
-        [
-            AppWorkload(spec, lock_factory=factory, seed=seed + i).run()
-            for i in range(repeats)
-        ]
-    )
-    overhead = (immunized - vanilla) / vanilla * 100.0
+    vanilla: list[float] = []
+    immunized: list[float] = []
+    ratios: list[float] = []
+    for i in range(repeats):
+        plain = AppWorkload(spec, lock_factory=None, seed=seed + i).run()
+        immune = AppWorkload(spec, lock_factory=factory, seed=seed + i).run()
+        vanilla.append(plain)
+        immunized.append(immune)
+        ratios.append((immune - plain) / plain * 100.0)
     return {
         "workload": spec.name,
         "benchmark": spec.benchmark,
-        "vanilla_seconds": vanilla,
-        "dimmunix_seconds": immunized,
-        "overhead_percent": overhead,
+        "vanilla_seconds": _median(vanilla),
+        "dimmunix_seconds": _median(immunized),
+        "overhead_percent": _median(ratios),
+        "overhead_min": min(ratios),
+        "overhead_max": max(ratios),
     }

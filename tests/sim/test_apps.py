@@ -3,7 +3,12 @@
 import threading
 
 from repro.dimmunix.runtime import DimmunixRuntime
-from repro.sim.apps import APP_WORKLOADS, AppWorkload, dimmunix_lock_factory
+from repro.sim.apps import (
+    APP_WORKLOADS,
+    AppWorkload,
+    dimmunix_lock_factory,
+    measure_overhead,
+)
 from tests.conftest import make_fast_config
 
 
@@ -65,3 +70,15 @@ class TestStackSampling:
             assert len(samples) >= spec.paths
         finally:
             runtime.stop()
+
+
+class TestOverheadEstimator:
+    def test_paired_median_inside_its_spread(self):
+        runtime = DimmunixRuntime(config=make_fast_config())
+        spec = tiny(APP_WORKLOADS["vuze"])
+        result = measure_overhead(spec, runtime, repeats=3)
+        assert (result["overhead_min"] <= result["overhead_percent"]
+                <= result["overhead_max"])
+        # Every immunized run is paired with its own vanilla run.
+        per_run = spec.threads * spec.ops_per_thread * 2  # outer+inner
+        assert runtime.stats.acquisitions == 3 * per_run
