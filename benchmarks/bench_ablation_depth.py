@@ -40,11 +40,8 @@ def run_mode(workload_name: str, mode: str, depth: int) -> dict:
     spec = APP_WORKLOADS[workload_name]
     with benchmark_gil():
         runtime = attacked_runtime(spec, mode=mode, depth=depth)
-        try:
-            result = measure_overhead(spec, runtime, repeats=5)
-            result["avoidance_blocks"] = runtime.stats.avoidance_blocks
-        finally:
-            runtime.stop()
+        result = measure_overhead(spec, runtime, repeats=5)
+    result["avoidance_blocks"] = runtime.stats.avoidance_blocks
     return result
 
 

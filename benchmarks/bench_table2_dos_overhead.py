@@ -36,11 +36,8 @@ def run_attack(workload_name: str) -> dict:
     spec = APP_WORKLOADS[workload_name]
     with benchmark_gil():
         runtime = attacked_runtime(spec, mode="critical", depth=5)
-        try:
-            result = measure_overhead(spec, runtime, repeats=5)
-            result["avoidance_blocks"] = runtime.stats.avoidance_blocks
-        finally:
-            runtime.stop()
+        result = measure_overhead(spec, runtime, repeats=5)
+    result["avoidance_blocks"] = runtime.stats.avoidance_blocks
     return result
 
 

@@ -45,20 +45,10 @@ def spread(result: dict) -> str:
     return f"{result['overhead_min']:.0f}..{result['overhead_max']:.0f}%"
 
 
-def bench_config(**overrides) -> DimmunixConfig:
-    defaults = dict(
-        detection_interval=0.05,
-        acquire_poll_interval=0.02,
-        avoidance_recheck_interval=0.001,
-    )
-    defaults.update(overrides)
-    return DimmunixConfig(**defaults)
-
-
 def sample_workload_stacks(spec: WorkloadSpec, ops: int = 400) -> list:
     """Step 1: what the attacker observes about the victim's call stacks."""
     recorder = DimmunixRuntime(
-        config=bench_config(record_acquisition_stacks=True)
+        config=DimmunixConfig(record_acquisition_stacks=True)
     )
     workload = AppWorkload(spec, dimmunix_lock_factory(recorder))
     return workload.sample_stacks(recorder, ops=ops)
@@ -66,12 +56,12 @@ def sample_workload_stacks(spec: WorkloadSpec, ops: int = 400) -> list:
 
 def attacked_runtime(spec: WorkloadSpec, mode: str, depth: int = 5
                      ) -> DimmunixRuntime:
-    """A started runtime whose history holds the requested attack.
+    """A runtime whose history holds the requested attack.
 
     ``mode``: "critical" (critical-path suffixes), "offpath" (locations the
     application never executes), or "empty" (instrumentation baseline).
     """
-    runtime = DimmunixRuntime(config=bench_config())
+    runtime = DimmunixRuntime()
     if mode == "critical":
         samples = sample_workload_stacks(spec)
         runtime.history.merge_from(
@@ -84,5 +74,4 @@ def attacked_runtime(spec: WorkloadSpec, mode: str, depth: int = 5
         )
     elif mode != "empty":
         raise ValueError(f"unknown attack mode {mode!r}")
-    runtime.start()
     return runtime

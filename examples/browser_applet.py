@@ -18,19 +18,11 @@ without ever having seen the bug.
 
 import repro.sim.workloads as workloads_mod
 from repro import CommunixNode, CommunixServer, InProcessEndpoint, PythonAppAdapter
-from repro.dimmunix import DimmunixConfig
 from repro.sim.workloads import TwoLockProgram
 
 
 def browser_node(name: str, endpoint) -> CommunixNode:
-    node = CommunixNode(
-        name, None, endpoint,
-        dimmunix_config=DimmunixConfig(
-            detection_interval=0.02,
-            acquire_poll_interval=0.01,
-            avoidance_recheck_interval=0.005,
-        ),
-    )
+    node = CommunixNode(name, None, endpoint)
     node.attach_app(
         PythonAppAdapter("browser-9.0", [workloads_mod], runtime=node.runtime)
     )

@@ -19,19 +19,11 @@ both from his very first session.
 
 import repro.sim.workloads as workloads_mod
 from repro import CommunixNode, CommunixServer, InProcessEndpoint, PythonAppAdapter
-from repro.dimmunix import DimmunixConfig
 from repro.sim.workloads import DiningPhilosophers, TwoLockProgram
 
 
 def ide_node(name: str, endpoint) -> CommunixNode:
-    node = CommunixNode(
-        name, None, endpoint,
-        dimmunix_config=DimmunixConfig(
-            detection_interval=0.02,
-            acquire_poll_interval=0.01,
-            avoidance_recheck_interval=0.005,
-        ),
-    )
+    node = CommunixNode(name, None, endpoint)
     node.attach_app(
         PythonAppAdapter("eclipse+plugin-1.0", [workloads_mod],
                          runtime=node.runtime)

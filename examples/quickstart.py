@@ -9,19 +9,13 @@ and saves it in the history.  Every later run with the same history is
 steered around the bug: the same colliding schedule completes cleanly.
 """
 
-from repro import DimmunixConfig, DimmunixRuntime
+from repro import DimmunixRuntime
 from repro.dimmunix.events import EventKind
 from repro.sim.workloads import TwoLockProgram
 
 
 def main() -> None:
-    config = DimmunixConfig(
-        detection_interval=0.02,
-        acquire_poll_interval=0.01,
-        avoidance_recheck_interval=0.005,
-    )
-    runtime = DimmunixRuntime(config=config)
-    runtime.start()
+    runtime = DimmunixRuntime()
     runtime.events.subscribe(
         lambda e: print(f"  [dimmunix] {e.kind.value} {e.payload}")
     )
@@ -54,7 +48,6 @@ def main() -> None:
     warnings = runtime.events.count(EventKind.FALSE_POSITIVE_WARNING)
     print(f"\nfalse-positive warnings so far: {warnings}")
     print("deadlock immunity: OK")
-    runtime.stop()
 
 
 if __name__ == "__main__":

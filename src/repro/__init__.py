@@ -6,10 +6,9 @@ the Dimmunix deadlock-immunity runtime it builds on.
 
 Quick tour (see ``examples/quickstart.py`` for a runnable version)::
 
-    from repro import DimmunixRuntime, DimmunixLock, DimmunixConfig
+    from repro import DimmunixRuntime, DimmunixLock
 
-    runtime = DimmunixRuntime(config=DimmunixConfig())
-    runtime.start()
+    runtime = DimmunixRuntime()
     a, b = DimmunixLock(runtime, "A"), DimmunixLock(runtime, "B")
     # ... run deadlock-prone code; the first deadlock is detected, its
     # signature saved, and later runs are steered away from it.

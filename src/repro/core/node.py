@@ -116,8 +116,11 @@ class CommunixNode:
         return DimmunixRLock(self.runtime, name)
 
     def start(self, background_client: bool = False) -> None:
-        """Start the detector (and optionally the daily download daemon)."""
-        self.runtime.start()
+        """Optionally start the daily download daemon.
+
+        The runtime needs no starting: it detects deadlocks inside the lock
+        operations themselves.
+        """
         if background_client:
             self.client.start()
 
@@ -134,7 +137,6 @@ class CommunixNode:
     def close(self) -> None:
         self.client.stop()
         self.plugin.close()
-        self.runtime.stop()
 
     def __enter__(self) -> "CommunixNode":
         self.start()

@@ -6,9 +6,9 @@ hash of the class bytecode containing that frame — this is what makes
 Communix application-agnostic, no names or versions are ever shared — and
 (2) sends the annotated signature to the Communix server, right away.
 
-Uploads go through a small background worker so that the detector thread
-(which fires the history listener) never blocks on the network; failed
-uploads are retried on the next flush.
+Uploads go through a small background worker so that the thread that
+detected the deadlock (which fires the history listener) never blocks on
+the network; failed uploads are retried on the next flush.
 """
 
 from __future__ import annotations

@@ -11,8 +11,9 @@ from static artifacts.  For a live Python program this adapter provides:
   :func:`repro.dimmunix.frames.capture_stack` embeds into local frames);
 * **nested sites** from the Dimmunix runtime's first-run dynamic discovery —
   locations observed acquiring a lock while already holding one.  This is
-  the documented substitution for the Soot static analysis (DESIGN.md): the
-  *check* the agent performs (set membership of outer-top locations) is
+  the documented substitution for the Soot static analysis (see "Client
+  half: the Dimmunix runtime" in ``docs/architecture.md``): the *check*
+  the agent performs (set membership of outer-top locations) is
   identical, only the producer of the set differs.
 """
 

@@ -5,35 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-#: What to do with the threads of a detected deadlock once the signature has
-#: been captured.  The real Dimmunix leaves the JVM deadlocked (the user
-#: restarts it); ``raise`` additionally designates a victim thread in which a
-#: :class:`repro.util.errors.DeadlockError` is raised so that test programs
-#: and examples can terminate and re-run.
-RECOVERY_NONE = "none"
-RECOVERY_RAISE = "raise"
-
 
 @dataclass
 class DimmunixConfig:
-    """Tunable parameters of the runtime.
+    """Tunable parameters of the runtime."""
 
-    The defaults suit interactive use; tests shrink the intervals for speed
-    and determinism (or drive :meth:`DimmunixRuntime.detect_now` directly).
-    """
-
-    #: Period of the background deadlock detector thread (seconds).
-    detection_interval: float = 0.05
-    #: How long a thread suspended by avoidance sleeps between re-checks of
-    #: the dangerous pattern (it is also woken eagerly on state changes).
-    avoidance_recheck_interval: float = 0.02
-    #: Polling granularity for the instrumented blocking acquire; this is
-    #: what allows a designated victim to escape a real deadlock.
-    acquire_poll_interval: float = 0.02
     #: Maximum call-stack frames captured per acquisition.
     capture_depth: int = 32
-    #: Recovery policy after detection: RECOVERY_NONE or RECOVERY_RAISE.
-    recovery_policy: str = RECOVERY_RAISE
     #: False-positive detector (§III-C1): warn about a signature after this
     #: many instantiations with no true positive...
     fp_instantiation_threshold: int = 100
@@ -43,9 +21,6 @@ class DimmunixConfig:
     fp_burst_count: int = 10
     #: Persistent history location (None = in-memory only).
     history_path: Path | None = None
-    #: Skip avoidance/detection bookkeeping entirely (vanilla passthrough);
-    #: used by benchmarks to isolate instrumentation cost.
-    enabled: bool = True
     #: Optional upper bound (seconds) on one avoidance suspension; ``None``
     #: trusts the avoidance-induced-cycle resolution (the default).  A bound
     #: is a belt-and-braces safety valve for pathological histories.

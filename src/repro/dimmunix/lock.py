@@ -1,15 +1,14 @@
 """Instrumented locks and the threading monkey-patch.
 
 :class:`DimmunixLock` is a drop-in replacement for ``threading.Lock`` whose
-acquire/release protocol runs through a :class:`DimmunixRuntime`:
-
-1. capture the caller's stack (the would-be outer call stack);
-2. ``before_acquire`` — the avoidance gate, which may suspend the caller;
-3. acquire the real lock *with a polling loop*, so that a thread designated
-   as deadlock victim can escape and raise :class:`DeadlockError` (the real
-   Dimmunix leaves the JVM hung; the polling loop is the Python-substrate
-   substitution that lets programs terminate, see DESIGN.md);
-4. ``acquired`` / ``released`` bookkeeping.
+state lives in a :class:`DimmunixRuntime`: the runtime's owner table says
+who holds it, and a blocked acquire waits on the lock's condition, built
+over the runtime's monitor.  An acquire captures the caller's stack (the
+would-be outer call stack) and hands it to ``runtime.acquire``, which runs
+the avoidance gate, the take and the bookkeeping as one transition.  A
+deadlock is detected when the thread that closes it blocks, and the victim
+raises :class:`DeadlockError` where the real Dimmunix leaves the JVM hung;
+see "Client half: the Dimmunix runtime" in ``docs/architecture.md``.
 
 :func:`patch_threading` swaps ``threading.Lock``/``threading.RLock`` for
 instrumented factories for the duration of a ``with`` block — the moral
@@ -24,17 +23,10 @@ import threading
 import time
 from contextlib import contextmanager
 
-from repro.dimmunix.config import DimmunixConfig
 from repro.dimmunix.frames import capture_stack
 from repro.dimmunix.runtime import DimmunixRuntime
-from repro.util.errors import DeadlockError
 
 _LOCK_IDS = itertools.count(1)
-
-#: The real primitive, captured at import time.  The instrumented lock must
-#: build its inner mutex from this even while ``threading.Lock`` is patched
-#: to our factory — otherwise constructing a DimmunixLock would recurse.
-_REAL_LOCK = threading.Lock
 
 _global_runtime: DimmunixRuntime | None = None
 _global_runtime_guard = threading.Lock()
@@ -46,7 +38,6 @@ def get_runtime() -> DimmunixRuntime:
     with _global_runtime_guard:
         if _global_runtime is None:
             _global_runtime = DimmunixRuntime()
-            _global_runtime.start()
         return _global_runtime
 
 
@@ -63,67 +54,31 @@ class DimmunixLock:
 
     def __init__(self, runtime: DimmunixRuntime | None = None,
                  name: str | None = None):
-        self._inner = _REAL_LOCK()
         self._runtime = runtime if runtime is not None else get_runtime()
         self.lock_id = next(_LOCK_IDS)
         self.name = name or f"lock-{self.lock_id}"
+        #: Where blocked acquirers wait: a release wakes one of them, a
+        #: victim designation all of them.
+        self.waiters = self._runtime.condition()
 
     # ------------------------------------------------------------ protocol
     def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
         runtime = self._runtime
-        if not runtime.config.enabled:
-            if not blocking:
-                return self._inner.acquire(False)
-            if timeout is not None and timeout >= 0:
-                return self._inner.acquire(True, timeout)
-            return self._inner.acquire(True)
         stack = capture_stack(
             skip=1,
             limit=runtime.config.capture_depth,
             blacklist=runtime.config.frame_blacklist,
         )
-        if not blocking:
-            got = self._inner.acquire(False)
-            if got:
-                runtime.acquired(self.lock_id, stack)
-            return got
         deadline = None
-        if timeout is not None and timeout >= 0:
+        if blocking and timeout is not None and timeout >= 0:
             deadline = time.monotonic() + timeout
-        if not runtime.before_acquire(self.lock_id, stack, deadline):
-            return False  # timed out inside avoidance
-        poll = runtime.config.acquire_poll_interval
-        while True:
-            wait = poll
-            if deadline is not None:
-                wait = min(poll, deadline - time.monotonic())
-                if wait <= 0:
-                    runtime.cancel_wait()
-                    return False
-            if self._inner.acquire(True, wait):
-                runtime.acquired(self.lock_id, stack)
-                return True
-            verdict = runtime.consume_victim()
-            if verdict is not False:
-                runtime.cancel_wait()
-                raise DeadlockError(
-                    f"deadlock detected while acquiring {self.name}; "
-                    "this thread was designated the victim",
-                    signature=verdict if verdict is not None else None,
-                )
+        return runtime.acquire(self, stack, blocking, deadline)
 
     def release(self) -> None:
-        if not self._runtime.config.enabled:
-            # Passthrough mode (must not be toggled while locks are held).
-            self._inner.release()
-            return
-        # Runtime bookkeeping first: a successor could otherwise grab the
-        # inner lock and register as holder before we deregister.
-        self._runtime.released(self.lock_id)
-        self._inner.release()
+        self._runtime.release(self)
 
     def locked(self) -> bool:
-        return self._inner.locked()
+        return self.lock_id in self._runtime.held_locks()
 
     def __enter__(self) -> "DimmunixLock":
         self.acquire()

@@ -1,32 +1,36 @@
-"""The Dimmunix runtime: thread states, avoidance gating, deadlock detection.
+"""The Dimmunix runtime: lock ownership, avoidance gating, deadlock detection.
 
-One :class:`DimmunixRuntime` instance lives per immunized process.  All
-instrumented locks funnel their acquire/release protocol through it:
+One :class:`DimmunixRuntime` instance lives per immunized process.  It owns
+every instrumented lock's state — who holds it, who waits for it, and where
+each was acquired — and runs each lock event as one synchronous transition
+under a single monitor:
 
-``before_acquire``
-    runs the avoidance check; suspends the caller while granting its request
-    would complete a signature instantiation; then registers the real wait;
-``acquired`` / ``released``
-    maintain the resource-allocation state (who holds what, acquired where);
-``detect_now``
-    builds the wait-for graph (real waits *and* avoidance waits), finds
-    cycles, extracts signatures for real deadlocks, resolves
-    avoidance-induced cycles by granting a yield permit, and designates a
-    victim when the recovery policy asks for one.
+``acquire``
+    the avoidance check, which suspends the caller while granting its
+    request would complete a signature instantiation; then the take, or a
+    wait on the lock's condition.  An uncontended acquire is one critical
+    section.  A thread that has to wait registers its wait-for edge and
+    walks the wait-for graph from it; a new cycle must pass through the new
+    edge, so this finds a deadlock at the moment it forms.  A real cycle
+    yields a signature and a victim, an avoidance-induced cycle a yield
+    permit;
+``release``
+    drops the ownership and wakes one waiter of the lock, plus the
+    avoidance waiters whose dangerous pattern named the releasing thread.
 
-A single condition variable (the *monitor*) guards all state; every state
-change notifies it, which is what wakes avoidance-suspended threads to
-re-check their dangerous pattern.  The paper's Dimmunix uses the same
-global-intercept structure; the per-acquisition cost of this monitor is part
-of the instrumentation overhead measured in Table II.
+Nothing runs on a timer: a blocked thread is woken by a release, a victim
+designation, a yield permit or a discarded signature, and a timed wait
+remains only for a caller's ``timeout`` and ``max_avoidance_block``.  The
+paper's Dimmunix uses the same global-intercept structure; the per-
+acquisition cost of this monitor is part of the instrumentation overhead
+measured in Table II.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.history import DeadlockHistory
 from repro.core.signature import (
@@ -36,19 +40,16 @@ from repro.core.signature import (
     ThreadSignature,
 )
 from repro.dimmunix.avoidance import AvoidanceModule, DangerMatch, ThreadView
-from repro.dimmunix.config import DimmunixConfig, RECOVERY_RAISE
+from repro.dimmunix.config import DimmunixConfig
 from repro.dimmunix.events import EventKind, EventLog
 from repro.dimmunix.fp import FalsePositiveDetector
 from repro.util.clock import Clock, SystemClock
-from repro.util.logging import get_logger
-
-log = get_logger("dimmunix.runtime")
+from repro.util.errors import DeadlockError
 
 # Real primitives captured at import time: the runtime must keep working
 # when ``patch_threading`` has swapped the public factories.
 _REAL_RLOCK = threading.RLock
 _REAL_CONDITION = threading.Condition
-_REAL_EVENT = threading.Event
 
 
 @dataclass
@@ -57,33 +58,25 @@ class _HeldLock:
     stack: CallStack
 
 
-#: Thread-state incarnation counter.  OS thread ids are recycled, so deadlock
-#: incidents are keyed by (epoch, lock) rather than (tid, lock): a new thread
-#: that inherits a dead thread's tid gets a fresh epoch and its deadlocks are
-#: never mistaken for already-handled ones.
-_EPOCHS = itertools.count(1)
-
-
 class _ThreadState:
     __slots__ = (
         "tid",
-        "name",
-        "epoch",
         "held",
         "waiting_lock",
         "waiting_stack",
+        "waiting_on",
         "avoidance_match",
         "yield_permit",
         "victim_signature",
     )
 
-    def __init__(self, tid: int, name: str):
+    def __init__(self, tid: int):
         self.tid = tid
-        self.name = name
-        self.epoch = next(_EPOCHS)
         self.held: dict[int, _HeldLock] = {}
         self.waiting_lock: int | None = None
         self.waiting_stack: CallStack | None = None
+        #: The condition of the lock this thread waits for.
+        self.waiting_on: threading.Condition | None = None
         self.avoidance_match: DangerMatch | None = None
         self.yield_permit = False
         self.victim_signature: DeadlockSignature | None | bool = False
@@ -133,12 +126,13 @@ class DimmunixRuntime:
         self.avoidance = AvoidanceModule(self.history)
         self.fp = FalsePositiveDetector(self.config, self.clock, self.events)
         self.stats = RuntimeStats()
-        self._monitor = _REAL_CONDITION(_REAL_RLOCK())
+        #: The monitor: guards all state below; every lock's condition and
+        #: the avoidance condition are built over it.
+        self._monitor = _REAL_RLOCK()
+        self._avoidance_wakeup = _REAL_CONDITION(self._monitor)
         self._threads: dict[int, _ThreadState] = {}
         self._holders: dict[int, int] = {}  # lock_id -> holder tid
-        self._active_incidents: set[frozenset] = set()
-        self._detector: threading.Thread | None = None
-        self._detector_stop = _REAL_EVENT()
+        self._avoiders: dict[int, _ThreadState] = {}  # suspended by avoidance
         #: Dynamically discovered nested sites: acquisition sites of locks
         #: that were held while another lock was acquired (outer blocks of a
         #: nested pair).  This is the live-Python substitute for the static
@@ -152,37 +146,15 @@ class DimmunixRuntime:
         #: these samples.
         self.acquisition_stacks: dict[tuple, CallStack] = {}
 
-    # ------------------------------------------------------------ lifecycle
-    def start(self) -> None:
-        """Start the background deadlock detector (idempotent)."""
-        with self._monitor:
-            if self._detector is not None and self._detector.is_alive():
-                return
-            self._detector_stop.clear()
-            self._detector = threading.Thread(
-                target=self._detector_loop, name="dimmunix-detector", daemon=True
-            )
-            self._detector.start()
-
-    def stop(self) -> None:
-        self._detector_stop.set()
-        detector = self._detector
-        if detector is not None:
-            detector.join(timeout=2.0)
-        self._detector = None
-
-    def _detector_loop(self) -> None:
-        while not self._detector_stop.wait(self.config.detection_interval):
-            try:
-                self.detect_now()
-            except Exception:  # pragma: no cover - detector must never die
-                log.exception("deadlock detector iteration failed")
+    def condition(self) -> threading.Condition:
+        """A condition over the monitor, for one lock's blocked acquirers."""
+        return _REAL_CONDITION(self._monitor)
 
     # --------------------------------------------------------- thread state
     def _state(self, tid: int) -> _ThreadState:
         state = self._threads.get(tid)
         if state is None:
-            state = _ThreadState(tid, threading.current_thread().name)
+            state = _ThreadState(tid)
             self._threads[tid] = state
         return state
 
@@ -206,125 +178,99 @@ class DimmunixRuntime:
         return views
 
     # -------------------------------------------------------- lock protocol
-    def before_acquire(self, lock_id: int, stack: CallStack,
-                       deadline: float | None = None) -> bool:
-        """Avoidance gate + wait registration.  Returns False on timeout."""
+    def acquire(self, lock, stack: CallStack, blocking: bool = True,
+                deadline: float | None = None) -> bool:
+        """Take ``lock`` (a :class:`DimmunixLock`) for the calling thread.
+
+        Returns False when the lock is busy and ``blocking`` is false, or
+        when ``deadline`` (a ``time.monotonic()`` instant) passes first.
+        Raises :class:`DeadlockError` in the victim of a deadlock.  A
+        non-blocking acquire never waits, so it skips the avoidance gate.
+        """
         tid = threading.get_ident()
-        recheck = self.config.avoidance_recheck_interval
-        max_block = self.config.max_avoidance_block
-        blocked_since: float | None = None
+        lock_id = lock.lock_id
         with self._monitor:
             state = self._state(tid)
-            while True:
-                match = self.avoidance.find_danger(
-                    tid, lock_id, stack, self._views_excluding(tid)
-                )
-                if match is None:
-                    # A permit granted for a pattern that has since dissolved
-                    # must not linger and bypass a future, unrelated block.
-                    state.yield_permit = False
-                    break
-                if state.yield_permit:
-                    state.yield_permit = False
-                    self.events.emit(
-                        EventKind.AVOIDANCE_YIELD_GRANTED,
-                        timestamp=self.clock.now(),
-                        tid=tid,
-                        sig_id=match.signature.sig_id,
-                    )
-                    break
-                if blocked_since is None:
-                    blocked_since = time.monotonic()
-                    self.stats.avoidance_blocks += 1
-                    self.fp.record_instantiation(match.signature.sig_id)
-                    self.events.emit(
-                        EventKind.AVOIDANCE_BLOCK,
-                        timestamp=self.clock.now(),
-                        tid=tid,
-                        lock_id=lock_id,
-                        sig_id=match.signature.sig_id,
-                    )
-                state.avoidance_match = match
-                wait_for = recheck
-                if deadline is not None:
-                    wait_for = min(wait_for, deadline - time.monotonic())
-                    if wait_for <= 0:
-                        state.avoidance_match = None
-                        self._finish_avoidance(state, tid, blocked_since)
-                        self._gc_thread(tid)
-                        return False
-                if max_block is not None and blocked_since is not None:
-                    if time.monotonic() - blocked_since >= max_block:
-                        self.stats.yields_granted += 1
-                        self.events.emit(
-                            EventKind.AVOIDANCE_YIELD_GRANTED,
-                            timestamp=self.clock.now(),
-                            tid=tid,
-                            sig_id=match.signature.sig_id,
-                            reason="max_avoidance_block",
-                        )
-                        break
-                self._monitor.wait(wait_for)
-            self._finish_avoidance(state, tid, blocked_since)
+            if blocking and not self._pass_avoidance(state, lock_id, stack,
+                                                     deadline):
+                self._gc_thread(tid)
+                return False
+            if lock_id not in self._holders:
+                self._take(state, lock_id, stack)
+                return True
+            if not blocking:
+                self._gc_thread(tid)
+                return False
             state.waiting_lock = lock_id
             state.waiting_stack = stack
-            self._monitor.notify_all()
-        return True
-
-    def _finish_avoidance(self, state: _ThreadState, tid: int,
-                          blocked_since: float | None) -> None:
-        state.avoidance_match = None
-        if blocked_since is not None:
-            waited = time.monotonic() - blocked_since
-            self.stats.avoidance_wait_seconds += waited
-            self.events.emit(
-                EventKind.AVOIDANCE_RESUME,
-                timestamp=self.clock.now(),
-                tid=tid,
-                waited=waited,
-            )
-
-    def acquired(self, lock_id: int, stack: CallStack) -> None:
-        tid = threading.get_ident()
+            state.waiting_on = lock.waiters
+            found = self._detect(state)
+        if found is not None:
+            self._publish(*found)
         with self._monitor:
-            state = self._state(tid)
-            if state.held and stack:
-                # Acquiring while already holding: every held lock's
-                # acquisition site is an *outer* (nested) synchronized block
-                # in the paper's sense — record those sites.
-                for held in state.held.values():
-                    if held.stack:
-                        self.nested_sites.add(held.stack.top.location)
-            if self.config.record_acquisition_stacks and stack:
-                if len(self.acquisition_stacks) < 4096:
-                    key = tuple(f.location for f in stack.suffix(5))
-                    self.acquisition_stacks.setdefault(key, stack)
-            state.held[lock_id] = _HeldLock(lock_id, stack)
-            state.waiting_lock = None
-            state.waiting_stack = None
-            # If this thread was designated a victim but escaped (the cycle
-            # broke some other way), the stale flag must not poison a later,
-            # unrelated acquisition.
-            state.victim_signature = False
-            state.yield_permit = False
-            self._holders[lock_id] = tid
-            self.stats.acquisitions += 1
-            self._monitor.notify_all()
+            return self._wait_for(state, lock, stack, deadline)
 
-    def cancel_wait(self) -> None:
-        """The instrumented acquire gave up (timeout or victim raise)."""
-        tid = threading.get_ident()
-        with self._monitor:
-            state = self._threads.get(tid)
-            if state is None:
-                return
-            state.waiting_lock = None
-            state.waiting_stack = None
-            self._gc_thread(tid)
-            self._monitor.notify_all()
+    def _wait_for(self, state: _ThreadState, lock, stack: CallStack,
+                  deadline: float | None) -> bool:
+        lock_id = lock.lock_id
+        while True:
+            if lock_id not in self._holders:
+                self._take(state, lock_id, stack)
+                return True
+            if state.victim_signature is not False:
+                signature = state.victim_signature
+                self._stop_waiting(state)
+                raise DeadlockError(
+                    f"deadlock detected while acquiring {lock.name}; "
+                    "this thread was designated the victim",
+                    signature=signature,
+                )
+            if deadline is None:
+                lock.waiters.wait()
+                continue
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                self._stop_waiting(state)
+                return False
+            lock.waiters.wait(remaining)
 
-    def released(self, lock_id: int) -> None:
+    def _take(self, state: _ThreadState, lock_id: int,
+              stack: CallStack) -> None:
+        if state.held and stack:
+            # Acquiring while already holding: every held lock's
+            # acquisition site is an *outer* (nested) synchronized block
+            # in the paper's sense — record those sites.
+            for held in state.held.values():
+                if held.stack:
+                    self.nested_sites.add(held.stack.top.location)
+        if self.config.record_acquisition_stacks and stack:
+            if len(self.acquisition_stacks) < 4096:
+                key = tuple(f.location for f in stack.suffix(5))
+                self.acquisition_stacks.setdefault(key, stack)
+        state.held[lock_id] = _HeldLock(lock_id, stack)
+        state.waiting_lock = None
+        state.waiting_stack = None
+        state.waiting_on = None
+        # If this thread was designated a victim but escaped (the cycle
+        # broke some other way), the stale flag must not poison a later,
+        # unrelated acquisition.
+        state.victim_signature = False
+        state.yield_permit = False
+        self._holders[lock_id] = state.tid
+        self.stats.acquisitions += 1
+
+    def _stop_waiting(self, state: _ThreadState) -> None:
+        """The acquire gave up (timeout or victim raise)."""
+        state.waiting_lock = None
+        state.waiting_stack = None
+        state.waiting_on = None
+        state.victim_signature = False
+        self._wake_avoiders(state.tid)
+        self._gc_thread(state.tid)
+
+    def release(self, lock) -> None:
         tid = threading.get_ident()
+        lock_id = lock.lock_id
         with self._monitor:
             state = self._threads.get(tid)
             if state is None or lock_id not in state.held:
@@ -332,53 +278,179 @@ class DimmunixRuntime:
                     f"thread {tid} released lock {lock_id} it does not hold"
                 )
             del state.held[lock_id]
-            if self._holders.get(lock_id) == tid:
-                del self._holders[lock_id]
+            del self._holders[lock_id]
             self.stats.releases += 1
+            lock.waiters.notify()
+            self._wake_avoiders(tid)
             self._gc_thread(tid)
-            self._monitor.notify_all()
 
-    def consume_victim(self) -> DeadlockSignature | None | bool:
-        """Poll-and-clear the caller's victim flag.
+    # ------------------------------------------------------------ avoidance
+    def _pass_avoidance(self, state: _ThreadState, lock_id: int,
+                        stack: CallStack, deadline: float | None) -> bool:
+        """Suspend the caller while granting ``lock_id`` would complete a
+        signature instantiation.  Returns False on timeout."""
+        tid = state.tid
+        max_block = self.config.max_avoidance_block
+        blocked_since: float | None = None
+        while True:
+            match = self.avoidance.find_danger(
+                tid, lock_id, stack, self._views_excluding(tid)
+            )
+            if match is None:
+                # A permit granted for a pattern that has since dissolved
+                # must not linger and bypass a future, unrelated block.
+                state.yield_permit = False
+                break
+            if state.yield_permit:
+                state.yield_permit = False
+                self.events.emit(
+                    EventKind.AVOIDANCE_YIELD_GRANTED,
+                    timestamp=self.clock.now(),
+                    tid=tid,
+                    sig_id=match.signature.sig_id,
+                )
+                break
+            if blocked_since is None:
+                blocked_since = time.monotonic()
+                self.stats.avoidance_blocks += 1
+                self.fp.record_instantiation(match.signature.sig_id)
+                self.events.emit(
+                    EventKind.AVOIDANCE_BLOCK,
+                    timestamp=self.clock.now(),
+                    tid=tid,
+                    lock_id=lock_id,
+                    sig_id=match.signature.sig_id,
+                )
+                self._avoiders[tid] = state
+            state.avoidance_match = match
+            # Every cycle through this wait contains this avoider, so the
+            # walk can only grant a yield permit, never capture a signature.
+            self._detect(state)
+            if state.yield_permit:
+                continue
+            wait_for = None
+            if deadline is not None:
+                wait_for = deadline - time.monotonic()
+                if wait_for <= 0:
+                    self._finish_avoidance(state, blocked_since)
+                    return False
+            if max_block is not None:
+                left = max_block - (time.monotonic() - blocked_since)
+                if left <= 0:
+                    self.stats.yields_granted += 1
+                    self.events.emit(
+                        EventKind.AVOIDANCE_YIELD_GRANTED,
+                        timestamp=self.clock.now(),
+                        tid=tid,
+                        sig_id=match.signature.sig_id,
+                        reason="max_avoidance_block",
+                    )
+                    break
+                wait_for = left if wait_for is None else min(wait_for, left)
+            self._avoidance_wakeup.wait(wait_for)
+        self._finish_avoidance(state, blocked_since)
+        return True
 
-        Returns False if not designated; otherwise the captured signature
-        (or None for a self-deadlock, which has no multi-thread signature).
-        """
-        tid = threading.get_ident()
-        with self._monitor:
-            state = self._threads.get(tid)
-            if state is None or state.victim_signature is False:
-                return False
-            signature = state.victim_signature
-            state.victim_signature = False
-            return signature
+    def _finish_avoidance(self, state: _ThreadState,
+                          blocked_since: float | None) -> None:
+        state.avoidance_match = None
+        if blocked_since is not None:
+            del self._avoiders[state.tid]
+            waited = time.monotonic() - blocked_since
+            self.stats.avoidance_wait_seconds += waited
+            self.events.emit(
+                EventKind.AVOIDANCE_RESUME,
+                timestamp=self.clock.now(),
+                tid=state.tid,
+                waited=waited,
+            )
+
+    def _wake_avoiders(self, tid: int) -> None:
+        """``tid`` released a lock or stopped waiting: wake the avoidance
+        waiters whose dangerous pattern it is part of."""
+        for avoider in self._avoiders.values():
+            if tid in avoider.avoidance_match.matched_tids:
+                self._avoidance_wakeup.notify_all()
+                return
 
     # ------------------------------------------------------------ detection
-    def detect_now(self) -> list[DeadlockSignature]:
-        """Run one detection pass; returns signatures of new real deadlocks."""
-        to_save: list[DeadlockSignature] = []
-        emits: list[tuple] = []
-        with self._monitor:
-            self._prune_incidents()
-            edges = self._build_edges()
-            cycles = _find_cycles(edges)
-            for cycle in cycles:
-                if len(cycle) == 1:
-                    self._handle_self_deadlock(cycle[0], emits)
-                    continue
-                avoidance_tids = [
-                    tid for tid in cycle
-                    if self._threads[tid].avoidance_match is not None
-                ]
-                if avoidance_tids:
-                    self._resolve_avoidance_cycle(avoidance_tids, emits)
-                else:
-                    signature = self._handle_real_deadlock(cycle, emits)
-                    if signature is not None:
-                        to_save.append(signature)
+    def _wait_edges(self, tid: int) -> tuple[int, ...]:
+        """Whom ``tid`` waits for: the holder of the lock it is blocked on,
+        or the threads of the pattern that suspends it in avoidance."""
+        state = self._threads.get(tid)
+        if state is None:
+            return ()
+        if state.waiting_lock is not None:
+            holder = self._holders.get(state.waiting_lock)
+            return () if holder is None else (holder,)
+        if state.avoidance_match is not None:
+            return state.avoidance_match.matched_tids
+        return ()
+
+    def _cycle_through(self, tid: int) -> list[int] | None:
+        """A wait-for cycle from ``tid`` back to itself, in wait order
+        (each thread waits for the next), or None."""
+        path = [tid]
+        pending = [iter(self._wait_edges(tid))]
+        seen = {tid}
+        while pending:
+            for target in pending[-1]:
+                if target == tid:
+                    return path
+                if target not in seen:
+                    seen.add(target)
+                    path.append(target)
+                    pending.append(iter(self._wait_edges(target)))
+                    break
+            else:
+                pending.pop()
+                path.pop()
+        return None
+
+    def _detect(self, state: _ThreadState):
+        """Walk the wait-for graph from ``state``'s new edge.
+
+        An avoidance-induced cycle gets a yield permit for its smallest
+        suspended tid.  A real cycle designates a victim, ``max(cycle)``, or
+        the thread itself in a self-deadlock; for those this returns the
+        ``(signature, events)`` that :meth:`_publish` records once the
+        monitor is released.
+        """
+        cycle = self._cycle_through(state.tid)
+        if cycle is None:
+            return None
+        avoiders = [t for t in cycle
+                    if self._threads[t].avoidance_match is not None]
+        if avoiders:
+            chosen = self._threads[min(avoiders)]
+            if not chosen.yield_permit:
+                chosen.yield_permit = True
+                self.stats.yields_granted += 1
+                self._avoidance_wakeup.notify_all()
+            return None
+        self.stats.victims_designated += 1
+        if len(cycle) == 1:
+            self.stats.self_deadlocks += 1
+            state.victim_signature = None
+            return None, [(EventKind.SELF_DEADLOCK, {"tid": state.tid}),
+                          (EventKind.VICTIM_RAISED, {"tid": state.tid})]
+        self.stats.deadlocks_detected += 1
+        signature = self._extract_signature(cycle)
+        victim = self._threads[max(cycle)]
+        victim.victim_signature = signature
+        victim.waiting_on.notify_all()
+        return signature, [
+            (EventKind.DEADLOCK_DETECTED,
+             {"tids": tuple(cycle),
+              "sig_id": signature.sig_id if signature else None}),
+            (EventKind.VICTIM_RAISED, {"tid": victim.tid}),
+        ]
+
+    def _publish(self, signature: DeadlockSignature | None,
+                 emits: list[tuple]) -> None:
         # History writes and event emission happen outside the monitor so
         # that listeners (e.g. the Communix plugin's upload) can do I/O.
-        for signature in to_save:
+        if signature is not None:
             if self.history.add(signature):
                 self.stats.signatures_saved += 1
                 self.events.emit(
@@ -392,88 +464,6 @@ class DimmunixRuntime:
                 self.fp.record_true_positive(signature.sig_id)
         for kind, payload in emits:
             self.events.emit(kind, timestamp=self.clock.now(), **payload)
-        return to_save
-
-    def _prune_incidents(self) -> None:
-        by_epoch = {state.epoch: state for state in self._threads.values()}
-        still_active = set()
-        for incident in self._active_incidents:
-            intact = True
-            for epoch, lock_id in incident:
-                state = by_epoch.get(epoch)
-                if state is None or state.waiting_lock != lock_id:
-                    intact = False
-                    break
-            if intact:
-                still_active.add(incident)
-        self._active_incidents = still_active
-
-    def _build_edges(self) -> dict[int, list[int]]:
-        edges: dict[int, list[int]] = {}
-        for tid, state in self._threads.items():
-            targets: list[int] = []
-            if state.waiting_lock is not None:
-                holder = self._holders.get(state.waiting_lock)
-                if holder is not None:
-                    targets.append(holder)
-            if state.avoidance_match is not None:
-                targets.extend(state.avoidance_match.matched_tids)
-            if targets:
-                edges[tid] = targets
-        return edges
-
-    def _handle_self_deadlock(self, tid: int, emits: list) -> None:
-        state = self._threads[tid]
-        incident = frozenset({(state.epoch, state.waiting_lock)})
-        if incident in self._active_incidents:
-            return
-        self._active_incidents.add(incident)
-        self.stats.self_deadlocks += 1
-        emits.append((EventKind.SELF_DEADLOCK, {"tid": tid}))
-        if self.config.recovery_policy == RECOVERY_RAISE:
-            state.victim_signature = None
-            self.stats.victims_designated += 1
-            emits.append((EventKind.VICTIM_RAISED, {"tid": tid}))
-            self._monitor.notify_all()
-
-    def _resolve_avoidance_cycle(self, avoidance_tids: list[int], emits: list) -> None:
-        """An avoidance suspension participates in a cycle: avoidance itself
-        would deadlock the program.  Dimmunix resolves this by letting one
-        suspended thread proceed despite the dangerous pattern."""
-        chosen = min(avoidance_tids)
-        state = self._threads[chosen]
-        if state.yield_permit:
-            return  # already granted, thread has not woken yet
-        state.yield_permit = True
-        self.stats.yields_granted += 1
-        self._monitor.notify_all()
-
-    def _handle_real_deadlock(self, cycle: list[int], emits: list):
-        incident = frozenset(
-            (self._threads[tid].epoch, self._threads[tid].waiting_lock)
-            for tid in cycle
-        )
-        if incident in self._active_incidents:
-            return None
-        self._active_incidents.add(incident)
-        self.stats.deadlocks_detected += 1
-        signature = self._extract_signature(cycle)
-        emits.append(
-            (
-                EventKind.DEADLOCK_DETECTED,
-                {
-                    "tids": tuple(cycle),
-                    "sig_id": signature.sig_id if signature else None,
-                },
-            )
-        )
-        if self.config.recovery_policy == RECOVERY_RAISE:
-            victim = max(cycle)
-            self._threads[victim].victim_signature = signature
-            self.stats.victims_designated += 1
-            emits.append((EventKind.VICTIM_RAISED, {"tid": victim}))
-            self._monitor.notify_all()
-        return signature
 
     def _extract_signature(self, cycle: list[int]) -> DeadlockSignature | None:
         """Outer stack: where each thread acquired the lock the *previous*
@@ -483,10 +473,7 @@ class DimmunixRuntime:
         for i, tid in enumerate(cycle):
             state = self._threads[tid]
             prev_state = self._threads[cycle[(i - 1) % n]]
-            outer_lock = prev_state.waiting_lock
-            held = state.held.get(outer_lock) if outer_lock is not None else None
-            if held is None or state.waiting_stack is None:
-                return None  # state moved under us; next pass will retry
+            held = state.held[prev_state.waiting_lock]
             if not held.stack or not state.waiting_stack:
                 return None
             thread_sigs.append(
@@ -504,7 +491,10 @@ class DimmunixRuntime:
     def discard_signature(self, sig_id: str) -> bool:
         """Respond to a false-positive warning by dropping the signature
         from the history; avoidance stops matching it immediately."""
-        return self.history.remove(sig_id)
+        removed = self.history.remove(sig_id)
+        with self._monitor:
+            self._avoidance_wakeup.notify_all()
+        return removed
 
     # ---------------------------------------------------------- inspection
     def held_locks(self) -> dict[int, int]:
@@ -514,46 +504,3 @@ class DimmunixRuntime:
     def thread_count(self) -> int:
         with self._monitor:
             return len(self._threads)
-
-
-def _find_cycles(edges: dict[int, list[int]]) -> list[list[int]]:
-    """Elementary cycles via iterative DFS; one representative per node set.
-
-    The wait-for graphs here are tiny (threads currently interacting with
-    locks), so a simple colored DFS that reports each gray-back-edge cycle
-    once is both sufficient and fast.
-    """
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[int, int] = {}
-    cycles: list[list[int]] = []
-    seen_keys: set[frozenset] = set()
-
-    for root in edges:
-        if color.get(root, WHITE) != WHITE:
-            continue
-        stack: list[tuple[int, int]] = [(root, 0)]
-        path: list[int] = []
-        color[root] = GRAY
-        path.append(root)
-        while stack:
-            node, edge_index = stack[-1]
-            targets = edges.get(node, [])
-            if edge_index < len(targets):
-                stack[-1] = (node, edge_index + 1)
-                target = targets[edge_index]
-                target_color = color.get(target, WHITE)
-                if target_color == WHITE:
-                    color[target] = GRAY
-                    path.append(target)
-                    stack.append((target, 0))
-                elif target_color == GRAY:
-                    cycle = path[path.index(target):]
-                    key = frozenset(cycle)
-                    if key not in seen_keys:
-                        seen_keys.add(key)
-                        cycles.append(list(cycle))
-            else:
-                stack.pop()
-                path.pop()
-                color[node] = BLACK
-    return cycles

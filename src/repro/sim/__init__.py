@@ -3,7 +3,8 @@
 The paper evaluates on large Java applications (JBoss/RUBiS, MySQL JDBC,
 Eclipse, Limewire, Vuze) and on a hypothetical field deployment with many
 users.  Neither is runnable here, so this subpackage provides the documented
-substitutes (DESIGN.md):
+substitutes (see "Client half: the Dimmunix runtime" in
+``docs/architecture.md``):
 
 * :mod:`repro.sim.workloads` — small deadlock-prone programs with realistic
   call-stack depth, used by tests and examples to exercise the full

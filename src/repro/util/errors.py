@@ -36,16 +36,11 @@ class DeadlockError(CommunixError):
     """Raised in a victim thread when Dimmunix breaks a detected deadlock.
 
     The real Dimmunix leaves the JVM deadlocked after capturing the
-    signature; this reproduction optionally designates a victim so that test
-    programs and examples can terminate (see
-    ``DimmunixConfig.recovery_policy``).  The captured signature is available
-    on the exception.
+    signature; this reproduction designates one victim per deadlock so that
+    programs, tests and examples can terminate.  The captured signature is
+    available on the exception (``None`` for a self-deadlock).
     """
 
     def __init__(self, message: str, signature=None):
         super().__init__(message)
         self.signature = signature
-
-
-class AvoidanceTimeout(CommunixError):
-    """A thread waited longer than the configured bound in avoidance."""

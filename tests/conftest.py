@@ -5,32 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.appmodel import PRESETS, SignatureFactory, generate_application
-from repro.dimmunix import DimmunixConfig, DimmunixRuntime
+from repro.dimmunix import DimmunixRuntime
 from repro.util.clock import ManualClock
 
 
-def make_fast_config(**overrides) -> DimmunixConfig:
-    """Dimmunix config with intervals shrunk for snappy threaded tests."""
-    defaults = dict(
-        detection_interval=0.02,
-        acquire_poll_interval=0.01,
-        avoidance_recheck_interval=0.005,
-    )
-    defaults.update(overrides)
-    return DimmunixConfig(**defaults)
-
-
 @pytest.fixture
-def fast_config() -> DimmunixConfig:
-    return make_fast_config()
-
-
-@pytest.fixture
-def runtime(fast_config):
-    rt = DimmunixRuntime(config=fast_config)
-    rt.start()
-    yield rt
-    rt.stop()
+def runtime() -> DimmunixRuntime:
+    return DimmunixRuntime()
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """CommunixNode facade tests."""
 
 import random
+import threading
 
 import pytest
 
@@ -11,7 +12,6 @@ from repro.core.pyapp import PythonAppAdapter
 from repro.crypto.userid import UserIdAuthority
 from repro.server.server import CommunixServer
 from repro.util.clock import ManualClock
-from tests.conftest import make_fast_config
 
 
 @pytest.fixture
@@ -23,8 +23,7 @@ def server():
 
 
 def test_node_wires_all_components(server):
-    node = CommunixNode("n1", None, InProcessEndpoint(server),
-                        dimmunix_config=make_fast_config())
+    node = CommunixNode("n1", None, InProcessEndpoint(server))
     try:
         assert node.history is node.runtime.history
         assert node.client.repository is node.repository
@@ -36,8 +35,7 @@ def test_node_wires_all_components(server):
 
 
 def test_locks_bound_to_node_runtime(server):
-    node = CommunixNode("n2", None, InProcessEndpoint(server),
-                        dimmunix_config=make_fast_config())
+    node = CommunixNode("n2", None, InProcessEndpoint(server))
     try:
         node.start()
         with node.lock("a"):
@@ -50,8 +48,7 @@ def test_locks_bound_to_node_runtime(server):
 
 
 def test_attach_app_rewires_agent_and_plugin(server):
-    node = CommunixNode("n3", None, InProcessEndpoint(server),
-                        dimmunix_config=make_fast_config())
+    node = CommunixNode("n3", None, InProcessEndpoint(server))
     try:
         adapter = PythonAppAdapter("app", [workloads_mod],
                                    runtime=node.runtime)
@@ -63,17 +60,21 @@ def test_attach_app_rewires_agent_and_plugin(server):
 
 
 def test_context_manager_protocol(server):
-    with CommunixNode("n4", None, InProcessEndpoint(server),
-                      dimmunix_config=make_fast_config()) as node:
-        assert node.runtime._detector is not None
+    node = CommunixNode("n4", None, InProcessEndpoint(server))
+    before = set(threading.enumerate())
+    with node:
+        # Entering starts no thread: detection runs inside lock operations.
+        assert set(threading.enumerate()) <= before
+        program = workloads_mod.TwoLockProgram(node.runtime, "ctx")
+        assert program.run_once(collide=True).deadlocked
+        assert len(node.history) == 1
 
 
 def test_data_dir_layout(tmp_path, server, shared_factory):
     token = server.issue_user_token()
     server.process_add(shared_factory.make_valid().to_bytes(), token)
     node = CommunixNode("n5", None, InProcessEndpoint(server),
-                        data_dir=tmp_path / "node5",
-                        dimmunix_config=make_fast_config())
+                        data_dir=tmp_path / "node5")
     try:
         node.sync_now()
         assert (tmp_path / "node5" / "repository.json").exists()
@@ -82,8 +83,7 @@ def test_data_dir_layout(tmp_path, server, shared_factory):
 
 
 def test_start_application_without_app_start_method(server):
-    node = CommunixNode("n6", None, InProcessEndpoint(server),
-                        dimmunix_config=make_fast_config())
+    node = CommunixNode("n6", None, InProcessEndpoint(server))
     try:
         adapter = PythonAppAdapter("app", [workloads_mod],
                                    runtime=node.runtime)

@@ -6,7 +6,6 @@ from repro.core.signature import Frame
 from repro.dimmunix.frames import python_code_hash
 from repro.dimmunix.lock import DimmunixLock
 from repro.dimmunix.runtime import DimmunixRuntime
-from tests.conftest import make_fast_config
 
 
 class TestRegistry:
@@ -28,31 +27,27 @@ class TestRegistry:
     def test_hash_matches_captured_frames(self):
         """Frames captured live must validate against the adapter — this is
         the property end-to-end distribution depends on."""
-        runtime = DimmunixRuntime(config=make_fast_config())
+        runtime = DimmunixRuntime()
         adapter = PythonAppAdapter(
             "app", [workloads_mod], runtime=runtime
         )
         from repro.sim.workloads import TwoLockProgram
 
-        runtime.start()
-        try:
-            program = TwoLockProgram(runtime, "pyapp")
-            result = program.run_once(collide=True)
-            assert result.deadlocked
-            sig = runtime.history.snapshot()[0]
-            known = 0
-            for thread in sig.threads:
-                for frame in thread.outer:
-                    expected = adapter.frame_hash(frame)
-                    if expected is not None:
-                        # Every frame the adapter can see must agree; local
-                        # closures (e.g. thread bootstrap lambdas) are not
-                        # enumerable and get trimmed by validation instead.
-                        assert expected == frame.code_hash
-                        known += 1
-            assert known >= 10  # the named call-chain frames are all known
-        finally:
-            runtime.stop()
+        program = TwoLockProgram(runtime, "pyapp")
+        result = program.run_once(collide=True)
+        assert result.deadlocked
+        sig = runtime.history.snapshot()[0]
+        known = 0
+        for thread in sig.threads:
+            for frame in thread.outer:
+                expected = adapter.frame_hash(frame)
+                if expected is not None:
+                    # Every frame the adapter can see must agree; local
+                    # closures (e.g. thread bootstrap lambdas) are not
+                    # enumerable and get trimmed by validation instead.
+                    assert expected == frame.code_hash
+                    known += 1
+        assert known >= 10  # the named call-chain frames are all known
 
     def test_generation_bumps_on_refresh(self):
         adapter = PythonAppAdapter("app", [workloads_mod])
@@ -75,7 +70,7 @@ class TestRegistry:
 
 class TestNestedSites:
     def test_runtime_discovery_flows_through(self):
-        runtime = DimmunixRuntime(config=make_fast_config())
+        runtime = DimmunixRuntime()
         adapter = PythonAppAdapter("app", [workloads_mod], runtime=runtime)
         assert adapter.nested_sync_sites() == set()
         import threading

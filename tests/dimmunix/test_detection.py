@@ -1,17 +1,14 @@
 """Deadlock detection integration tests (real threads)."""
 
+import random
+import sys
 import threading
-import time
 
-import pytest
-
-from repro.dimmunix.config import RECOVERY_NONE
 from repro.dimmunix.events import EventKind
 from repro.dimmunix.lock import DimmunixLock
 from repro.dimmunix.runtime import DimmunixRuntime
 from repro.sim.workloads import DiningPhilosophers, TwoLockProgram
 from repro.util.errors import DeadlockError
-from tests.conftest import make_fast_config
 
 
 class TestTwoThreadDeadlock:
@@ -63,28 +60,6 @@ class TestTwoThreadDeadlock:
         assert runtime.events.count(EventKind.VICTIM_RAISED) == 1
 
 
-class TestRecoveryPolicies:
-    def test_recovery_none_leaves_threads_blocked(self):
-        config = make_fast_config(recovery_policy=RECOVERY_NONE)
-        runtime = DimmunixRuntime(config=config)
-        runtime.start()
-        try:
-            program = TwoLockProgram(runtime, "dn")
-            result = program.run_once(collide=True, join_timeout=0.8)
-            # Signature captured, but nobody is killed: threads stay stuck.
-            assert result.timed_out
-            assert not result.deadlock_errors
-            assert len(runtime.history) == 1
-        finally:
-            runtime.stop()
-            # Unblock the stuck threads so the process can exit cleanly:
-            # re-enable recovery and run one detection pass manually.
-            runtime.config.recovery_policy = "raise"
-            runtime._active_incidents.clear()
-            runtime.detect_now()
-            time.sleep(0.2)
-
-
 class TestMultiWayDeadlock:
     def test_three_philosophers_detected(self, runtime):
         table = DiningPhilosophers(runtime, seats=3)
@@ -94,13 +69,12 @@ class TestMultiWayDeadlock:
             sig = runtime.history.snapshot()[0]
             assert 2 <= len(sig.threads) <= 3
 
-    def test_detect_now_idempotent_per_incident(self, runtime):
+    def test_one_detection_and_one_victim_per_incident(self, runtime):
         program = TwoLockProgram(runtime, "d6")
         result = program.run_once(collide=True)
         assert result.deadlocked
-        # Extra passes must not double-count or designate more victims.
-        runtime.detect_now()
-        runtime.detect_now()
+        # Only the edge that closes the cycle finds it: no second count,
+        # no second victim.
         assert runtime.stats.deadlocks_detected == 1
         assert runtime.stats.victims_designated == 1
 
@@ -146,3 +120,93 @@ class TestNestedSiteDiscovery:
         assert len(sites) == 1
         ((module, method, line),) = sites
         assert method == "op"  # the *outer* acquisition site is nested
+
+
+class TestDetectionAtBlockTime:
+    #: ``sig_id`` of TwoLockProgram's AB/BA deadlock as the periodic
+    #: wait-for-graph sweep extracted it (CPython 3.11 code hashes).
+    SWEEP_SIG_ID = "07c7fa8f452aeaf4"
+
+    def test_inversion_detected_by_the_thread_that_closes_it(self, runtime):
+        detected_on = []
+
+        def on_event(event):
+            if event.kind is EventKind.DEADLOCK_DETECTED:
+                detected_on.append(threading.current_thread().name)
+
+        runtime.events.subscribe(on_event)
+        result = TwoLockProgram(runtime, "bt").run_once(collide=True)
+        # Detection runs inside the second thread's blocking acquire, not
+        # on some detector thread, and exactly once.
+        assert detected_on in (["twolock-1"], ["twolock-2"])
+        assert len(result.deadlock_errors) == 1
+        assert runtime.stats.victims_designated == 1
+        (sig,) = runtime.history.snapshot()
+        assert result.deadlock_errors[0].signature == sig
+        assert sig.sig_id == self.SWEEP_SIG_ID
+
+
+class TestSeededStress:
+    THREADS = 8
+    LOCKS = 4
+    OPS = 300
+
+    def _run(self, locks, seed):
+        victims = []
+        start = threading.Barrier(self.THREADS)
+
+        def hold(first, second):
+            with first:
+                with second:
+                    pass
+
+        def worker(index):
+            rng = random.Random(seed * 100 + index)
+            start.wait()
+            for _ in range(self.OPS):
+                chosen = rng.sample(locks, rng.choice((1, 2)))
+                try:
+                    if len(chosen) == 1:
+                        with chosen[0]:
+                            pass
+                    else:
+                        hold(*chosen)
+                except DeadlockError:
+                    victims.append(index)
+
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(self.THREADS)]
+        # A short GIL switch interval preempts threads inside their
+        # critical sections, so the random nesting really interleaves.
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120.0)  # hang guard only
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        return victims
+
+    def _assert_settled(self, runtime, victims):
+        stats = runtime.stats
+        assert stats.acquisitions == stats.releases
+        assert runtime.held_locks() == {}
+        assert runtime.thread_count() == 0  # nobody left waiting
+        # Every detected deadlock raised in exactly one victim.
+        assert len(victims) == stats.victims_designated
+        assert stats.victims_designated == stats.deadlocks_detected
+
+    def test_random_nesting_settles_before_and_after_immunity(self):
+        runtime = DimmunixRuntime()
+        locks = [DimmunixLock(runtime, f"s{i}") for i in range(self.LOCKS)]
+        victims = self._run(locks, seed=1)
+        self._assert_settled(runtime, victims)
+        assert runtime.stats.deadlocks_detected >= 1
+        assert len(runtime.history) >= 1
+
+        victims += self._run(locks, seed=2)
+        self._assert_settled(runtime, victims)
+        assert runtime.stats.avoidance_blocks >= 1

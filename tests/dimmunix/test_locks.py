@@ -69,15 +69,6 @@ class TestDimmunixLock:
         a, b = DimmunixLock(runtime), DimmunixLock(runtime)
         assert a.lock_id != b.lock_id
 
-    def test_disabled_runtime_passthrough(self, fast_config):
-        from repro.dimmunix.runtime import DimmunixRuntime
-
-        fast_config.enabled = False
-        rt = DimmunixRuntime(config=fast_config)
-        lock = DimmunixLock(rt, "L")
-        with lock:
-            assert rt.stats.acquisitions == 0  # no bookkeeping at all
-
     def test_thread_state_gc(self, runtime):
         lock = DimmunixLock(runtime, "L")
 
@@ -122,13 +113,18 @@ class TestDimmunixRLock:
         cond = threading.Condition(rlock)
         fired = []
 
+        waiting = threading.Event()
+
         def waiter():
             with cond:
+                waiting.set()
                 fired.append(cond.wait(timeout=2.0))
 
         thread = threading.Thread(target=waiter)
         thread.start()
-        time.sleep(0.1)
+        assert waiting.wait(2.0)
+        # The waiter set the gate while holding the lock, so taking the
+        # lock here means it is parked in cond.wait.
         with cond:
             cond.notify()
         thread.join(2.0)
@@ -142,7 +138,12 @@ class TestDimmunixRLock:
         def first():
             with rlock:
                 held.set()
-                time.sleep(0.1)
+                # Hold on until the second thread has registered its wait
+                # with the runtime (a spin, bounded as a hang guard).
+                deadline = time.monotonic() + 2.0
+                while (runtime.thread_count() < 2
+                       and time.monotonic() < deadline):
+                    pass
                 order.append("first-out")
 
         def second():

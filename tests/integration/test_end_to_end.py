@@ -16,7 +16,6 @@ from repro.crypto.userid import UserIdAuthority
 from repro.server.server import CommunixServer
 from repro.sim.workloads import TwoLockProgram
 from repro.util.clock import ManualClock
-from tests.conftest import make_fast_config
 
 
 @pytest.fixture
@@ -28,10 +27,7 @@ def server():
 
 
 def make_node(name, server) -> CommunixNode:
-    node = CommunixNode(
-        name, None, InProcessEndpoint(server),
-        dimmunix_config=make_fast_config(),
-    )
+    node = CommunixNode(name, None, InProcessEndpoint(server))
     node.attach_app(
         PythonAppAdapter("twolock-app", [workloads_mod], runtime=node.runtime)
     )

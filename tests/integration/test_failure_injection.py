@@ -21,7 +21,6 @@ from repro.server.server import CommunixServer
 from repro.sim.workloads import TwoLockProgram
 from repro.util.clock import ManualClock
 from repro.util.errors import HistoryError
-from tests.conftest import make_fast_config
 
 
 class TestCorruptPersistence:
@@ -55,8 +54,7 @@ class TestDeadServer:
     def test_plugin_survives_dead_server(self):
         """A node whose server is unreachable keeps full local immunity."""
         endpoint = SocketEndpoint("tcp://127.0.0.1:1")  # connection refused
-        node = CommunixNode("lonely", None, DeadTokenEndpoint(endpoint),
-                            dimmunix_config=make_fast_config())
+        node = CommunixNode("lonely", None, DeadTokenEndpoint(endpoint))
         node.attach_app(
             PythonAppAdapter("app", [workloads_mod], runtime=node.runtime)
         )
@@ -156,8 +154,7 @@ class TestNodeRestart:
         endpoint = InProcessEndpoint(server)
         data_dir = tmp_path / "node"
 
-        node = CommunixNode("restarting", None, endpoint, data_dir=data_dir,
-                            dimmunix_config=make_fast_config())
+        node = CommunixNode("restarting", None, endpoint, data_dir=data_dir)
         node.attach_app(
             PythonAppAdapter("app", [workloads_mod], runtime=node.runtime)
         )
@@ -166,8 +163,7 @@ class TestNodeRestart:
         assert len(node.repository) == 1
         node.close()
 
-        reborn = CommunixNode("restarting", None, endpoint, data_dir=data_dir,
-                              dimmunix_config=make_fast_config())
+        reborn = CommunixNode("restarting", None, endpoint, data_dir=data_dir)
         reborn.attach_app(
             PythonAppAdapter("app", [workloads_mod], runtime=reborn.runtime)
         )

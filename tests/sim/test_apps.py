@@ -2,6 +2,7 @@
 
 import threading
 
+from repro.dimmunix.config import DimmunixConfig
 from repro.dimmunix.runtime import DimmunixRuntime
 from repro.sim.apps import (
     APP_WORKLOADS,
@@ -9,7 +10,6 @@ from repro.sim.apps import (
     dimmunix_lock_factory,
     measure_overhead,
 )
-from tests.conftest import make_fast_config
 
 
 def tiny(spec):
@@ -32,49 +32,38 @@ class TestVanillaRuns:
 
 class TestImmunizedRuns:
     def test_runs_with_dimmunix_locks(self):
-        runtime = DimmunixRuntime(config=make_fast_config())
-        runtime.start()
-        try:
-            spec = tiny(APP_WORKLOADS["vuze"])
-            workload = AppWorkload(spec, dimmunix_lock_factory(runtime))
-            workload.run()
-            expected = spec.threads * spec.ops_per_thread * 2  # outer+inner
-            assert runtime.stats.acquisitions == expected
-            assert runtime.stats.deadlocks_detected == 0
-        finally:
-            runtime.stop()
+        runtime = DimmunixRuntime()
+        spec = tiny(APP_WORKLOADS["vuze"])
+        workload = AppWorkload(spec, dimmunix_lock_factory(runtime))
+        workload.run()
+        expected = spec.threads * spec.ops_per_thread * 2  # outer+inner
+        assert runtime.stats.acquisitions == expected
+        assert runtime.stats.deadlocks_detected == 0
 
     def test_nested_sites_discovered(self):
-        runtime = DimmunixRuntime(config=make_fast_config())
-        runtime.start()
-        try:
-            spec = tiny(APP_WORKLOADS["eclipse"])
-            AppWorkload(spec, dimmunix_lock_factory(runtime)).run()
-            # Every op acquires inner while holding outer: the (single)
-            # outer acquisition site is a nested site.
-            assert len(runtime.nested_sites) >= 1
-        finally:
-            runtime.stop()
+        runtime = DimmunixRuntime()
+        spec = tiny(APP_WORKLOADS["eclipse"])
+        AppWorkload(spec, dimmunix_lock_factory(runtime)).run()
+        # Every op acquires inner while holding outer: the (single)
+        # outer acquisition site is a nested site.
+        assert len(runtime.nested_sites) >= 1
 
 
 class TestStackSampling:
     def test_samples_cover_paths(self):
-        config = make_fast_config(record_acquisition_stacks=True)
+        config = DimmunixConfig(record_acquisition_stacks=True)
         runtime = DimmunixRuntime(config=config)
-        try:
-            spec = tiny(APP_WORKLOADS["jboss_rubis"])
-            workload = AppWorkload(spec, dimmunix_lock_factory(runtime))
-            samples = workload.sample_stacks(runtime, ops=300)
-            # Distinct call paths yield distinct depth-5 suffixes; with 6
-            # paths and outer+inner sites we expect a healthy sample pool.
-            assert len(samples) >= spec.paths
-        finally:
-            runtime.stop()
+        spec = tiny(APP_WORKLOADS["jboss_rubis"])
+        workload = AppWorkload(spec, dimmunix_lock_factory(runtime))
+        samples = workload.sample_stacks(runtime, ops=300)
+        # Distinct call paths yield distinct depth-5 suffixes; with 6
+        # paths and outer+inner sites we expect a healthy sample pool.
+        assert len(samples) >= spec.paths
 
 
 class TestOverheadEstimator:
     def test_paired_median_inside_its_spread(self):
-        runtime = DimmunixRuntime(config=make_fast_config())
+        runtime = DimmunixRuntime()
         spec = tiny(APP_WORKLOADS["vuze"])
         result = measure_overhead(spec, runtime, repeats=3)
         assert (result["overhead_min"] <= result["overhead_percent"]

@@ -3,21 +3,19 @@
 import pytest
 
 from repro.core.validation import ClientSideValidator, RejectReason
+from repro.dimmunix.config import DimmunixConfig
 from repro.dimmunix.runtime import DimmunixRuntime
 from repro.sim.apps import APP_WORKLOADS, AppWorkload, dimmunix_lock_factory
 from repro.sim.attack import forge_critical_path_signatures, forge_off_path_signatures
-from tests.conftest import make_fast_config
 
 
 @pytest.fixture
 def samples():
-    config = make_fast_config(record_acquisition_stacks=True)
+    config = DimmunixConfig(record_acquisition_stacks=True)
     runtime = DimmunixRuntime(config=config)
     spec = APP_WORKLOADS["jboss_rubis"].scaled(0.05)
     workload = AppWorkload(spec, dimmunix_lock_factory(runtime))
-    stacks = workload.sample_stacks(runtime, ops=300)
-    runtime.stop()
-    return stacks
+    return workload.sample_stacks(runtime, ops=300)
 
 
 class TestCriticalPathForging:
