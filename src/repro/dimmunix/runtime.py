@@ -64,7 +64,6 @@ class _ThreadState:
         "held",
         "waiting_lock",
         "waiting_stack",
-        "waiting_on",
         "avoidance_match",
         "yield_permit",
         "victim_signature",
@@ -73,10 +72,9 @@ class _ThreadState:
     def __init__(self, tid: int):
         self.tid = tid
         self.held: dict[int, _HeldLock] = {}
-        self.waiting_lock: int | None = None
+        #: The DimmunixLock this thread is blocked on.
+        self.waiting_lock = None
         self.waiting_stack: CallStack | None = None
-        #: The condition of the lock this thread waits for.
-        self.waiting_on: threading.Condition | None = None
         self.avoidance_match: DangerMatch | None = None
         self.yield_permit = False
         self.victim_signature: DeadlockSignature | None | bool = False
@@ -171,8 +169,8 @@ class DimmunixRuntime:
             view = ThreadView(tid=other_tid)
             for held in state.held.values():
                 view.held.append((held.lock_id, held.stack))
-            if state.waiting_lock is not None and state.waiting_stack is not None:
-                view.waiting = (state.waiting_lock, state.waiting_stack)
+            if state.waiting_lock is not None:
+                view.waiting = (state.waiting_lock.lock_id, state.waiting_stack)
             if view.held or view.waiting:
                 views.append(view)
         return views
@@ -201,9 +199,8 @@ class DimmunixRuntime:
             if not blocking:
                 self._gc_thread(tid)
                 return False
-            state.waiting_lock = lock_id
+            state.waiting_lock = lock
             state.waiting_stack = stack
-            state.waiting_on = lock.waiters
             found = self._detect(state)
         if found is not None:
             self._publish(*found)
@@ -250,7 +247,6 @@ class DimmunixRuntime:
         state.held[lock_id] = _HeldLock(lock_id, stack)
         state.waiting_lock = None
         state.waiting_stack = None
-        state.waiting_on = None
         # If this thread was designated a victim but escaped (the cycle
         # broke some other way), the stale flag must not poison a later,
         # unrelated acquisition.
@@ -263,7 +259,6 @@ class DimmunixRuntime:
         """The acquire gave up (timeout or victim raise)."""
         state.waiting_lock = None
         state.waiting_stack = None
-        state.waiting_on = None
         state.victim_signature = False
         self._wake_avoiders(state.tid)
         self._gc_thread(state.tid)
@@ -381,7 +376,7 @@ class DimmunixRuntime:
         if state is None:
             return ()
         if state.waiting_lock is not None:
-            holder = self._holders.get(state.waiting_lock)
+            holder = self._holders.get(state.waiting_lock.lock_id)
             return () if holder is None else (holder,)
         if state.avoidance_match is not None:
             return state.avoidance_match.matched_tids
@@ -438,7 +433,7 @@ class DimmunixRuntime:
         signature = self._extract_signature(cycle)
         victim = self._threads[max(cycle)]
         victim.victim_signature = signature
-        victim.waiting_on.notify_all()
+        victim.waiting_lock.waiters.notify_all()
         return signature, [
             (EventKind.DEADLOCK_DETECTED,
              {"tids": tuple(cycle),
@@ -473,7 +468,7 @@ class DimmunixRuntime:
         for i, tid in enumerate(cycle):
             state = self._threads[tid]
             prev_state = self._threads[cycle[(i - 1) % n]]
-            held = state.held[prev_state.waiting_lock]
+            held = state.held[prev_state.waiting_lock.lock_id]
             if not held.stack or not state.waiting_stack:
                 return None
             thread_sigs.append(

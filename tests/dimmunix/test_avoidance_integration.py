@@ -1,5 +1,8 @@
 """Avoidance integration tests: immunity, serialization, yield resolution."""
 
+import threading
+
+from repro.core.signature import DeadlockSignature, ThreadSignature
 from repro.dimmunix.events import EventKind
 from repro.dimmunix.lock import DimmunixLock
 from repro.dimmunix.config import DimmunixConfig
@@ -62,7 +65,50 @@ class TestPhilosopherImmunity:
         assert not second.deadlock_errors
 
 
+def _take_at_site(lock):
+    lock.acquire()
+
+
 class TestAvoidanceInducedCycleResolution:
+    def test_mutual_suspension_resolved_by_one_yield_permit(self):
+        """Two threads each hold a lock taken at one site, then both ask for
+        a second lock at that site under a signature naming it twice: each
+        suspends on the other, and the second to block grants the permit."""
+        runtime = DimmunixRuntime(
+            config=DimmunixConfig(record_acquisition_stacks=True)
+        )
+        first = [DimmunixLock(runtime), DimmunixLock(runtime)]
+        second = [DimmunixLock(runtime), DimmunixLock(runtime)]
+        both_hold = threading.Barrier(3)
+        armed = threading.Event()
+
+        def worker(i):
+            _take_at_site(first[i])
+            both_hold.wait(5.0)
+            armed.wait(5.0)
+            _take_at_site(second[i])
+            second[i].release()
+            first[i].release()
+
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(2)]
+        for thread in threads:
+            thread.start()
+        both_hold.wait(5.0)
+        (stack,) = runtime.acquisition_stacks.values()
+        site = stack.suffix(1)
+        runtime.history.add(DeadlockSignature(
+            threads=(ThreadSignature(outer=site, inner=site),) * 2
+        ))
+        armed.set()
+        for thread in threads:
+            thread.join(5.0)  # hang guard only
+        assert not any(thread.is_alive() for thread in threads)
+        assert runtime.stats.avoidance_blocks == 2
+        assert runtime.stats.yields_granted == 1
+        assert runtime.events.count(EventKind.AVOIDANCE_YIELD_GRANTED) == 1
+        assert runtime.stats.deadlocks_detected == 0
+
     def test_yield_permit_breaks_avoidance_cycle(self, runtime):
         """Construct a state where two threads would suspend each other in
         avoidance forever; detection must grant a yield permit."""
