@@ -70,7 +70,7 @@ class DimmunixLock:
             blacklist=runtime.config.frame_blacklist,
         )
         deadline = None
-        if blocking and timeout is not None and timeout >= 0:
+        if timeout is not None and timeout >= 0:
             deadline = time.monotonic() + timeout
         return runtime.acquire(self, stack, blocking, deadline)
 
