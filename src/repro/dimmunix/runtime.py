@@ -15,8 +15,9 @@ under a single monitor:
     yields a signature and a victim, an avoidance-induced cycle a yield
     permit;
 ``release``
-    drops the ownership and wakes one waiter of the lock, plus the
-    avoidance waiters whose dangerous pattern named the releasing thread.
+    drops the ownership and wakes one waiter of the lock; when the
+    releasing thread is part of an avoidance waiter's dangerous pattern,
+    it also wakes the avoidance waiters to re-check their patterns.
 
 Nothing runs on a timer: a blocked thread is woken by a release, a victim
 designation, a yield permit or a discarded signature, and a timed wait
@@ -361,8 +362,8 @@ class DimmunixRuntime:
             )
 
     def _wake_avoiders(self, tid: int) -> None:
-        """``tid`` released a lock or stopped waiting: wake the avoidance
-        waiters whose dangerous pattern it is part of."""
+        """``tid`` released a lock or stopped waiting: if it is part of some
+        avoidance waiter's dangerous pattern, wake the avoidance waiters."""
         for avoider in self._avoiders.values():
             if tid in avoider.avoidance_match.matched_tids:
                 self._avoidance_wakeup.notify_all()

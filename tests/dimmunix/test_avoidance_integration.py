@@ -118,9 +118,9 @@ class TestAvoidanceInducedCycleResolution:
 
         # Both threads try to take their *first* lock simultaneously and
         # repeatedly; with the signature in history, one of them blocks
-        # in avoidance whenever the other holds its lock.  Repeated
-        # colliding rounds produce the mutual-suspension state; the yield
-        # path must keep everything live.
+        # in avoidance whenever the other holds its lock, and every round
+        # must stay live.  The mutual-suspension state itself is built
+        # deterministically by the test above.
         for _ in range(2):
             result = program.run_once(collide=True, join_timeout=5.0)
             assert not result.timed_out
