@@ -17,7 +17,10 @@ without ever having seen the bug.
 """
 
 import repro.sim.workloads as workloads_mod
-from repro import CommunixNode, CommunixServer, InProcessEndpoint, PythonAppAdapter
+from repro.client import InProcessEndpoint
+from repro.core.node import CommunixNode
+from repro.core.pyapp import PythonAppAdapter
+from repro.server import CommunixServer
 from repro.sim.workloads import TwoLockProgram
 
 

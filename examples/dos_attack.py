@@ -19,13 +19,13 @@ deadlock signatures.  Communix contains the attack in layers:
 
 import random
 
-from repro import CommunixServer
 from repro.appmodel import PRESETS, SignatureFactory, generate_application
 from repro.client.client import CommunixClient
 from repro.client.endpoints import InProcessEndpoint
 from repro.core.agent import CommunixAgent
 from repro.core.history import DeadlockHistory
 from repro.core.repository import LocalRepository
+from repro.server import CommunixServer
 from repro.util.clock import ManualClock
 
 

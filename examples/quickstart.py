@@ -9,7 +9,7 @@ and saves it in the history.  Every later run with the same history is
 steered around the bug: the same colliding schedule completes cleanly.
 """
 
-from repro import DimmunixRuntime
+from repro.dimmunix import DimmunixRuntime
 from repro.dimmunix.events import EventKind
 from repro.sim.workloads import TwoLockProgram
 

@@ -4,9 +4,12 @@ A from-scratch Python reproduction of *Communix: A Framework for
 Collaborative Deadlock Immunity* (Jula, Tozun, Candea - DSN 2011), including
 the Dimmunix deadlock-immunity runtime it builds on.
 
-Quick tour (see ``examples/quickstart.py`` for a runnable version)::
+The package exports nothing itself, so that importing one half (say the
+server, ``python -m repro.server``) does not load the other; import from
+the subpackages.  Quick tour (see ``examples/quickstart.py`` for a
+runnable version)::
 
-    from repro import DimmunixRuntime, DimmunixLock
+    from repro.dimmunix import DimmunixRuntime, DimmunixLock
 
     runtime = DimmunixRuntime()
     a, b = DimmunixLock(runtime, "A"), DimmunixLock(runtime, "B")
@@ -15,7 +18,9 @@ Quick tour (see ``examples/quickstart.py`` for a runnable version)::
 
 Collaborative immunity adds a server and per-machine nodes::
 
-    from repro import CommunixServer, InProcessEndpoint, CommunixNode
+    from repro.client import InProcessEndpoint
+    from repro.core.node import CommunixNode
+    from repro.server import CommunixServer
 
     server = CommunixServer()
     node = CommunixNode("alice", app, InProcessEndpoint(server))
@@ -24,78 +29,4 @@ Collaborative immunity adds a server and per-machine nodes::
     node.start_application()     # agent validates + generalizes them
 """
 
-from repro.client import CommunixClient, InProcessEndpoint, SocketEndpoint
-from repro.core import (
-    CallStack,
-    ClientSideValidator,
-    CommunixAgent,
-    CommunixPlugin,
-    DeadlockHistory,
-    DeadlockSignature,
-    Frame,
-    Generalizer,
-    LocalRepository,
-    PythonAppAdapter,
-    ThreadSignature,
-    merge_signatures,
-)
-from repro.core.node import CommunixNode
-from repro.crypto import AES128, UserIdAuthority
-from repro.dimmunix import (
-    DimmunixConfig,
-    DimmunixLock,
-    DimmunixRLock,
-    DimmunixRuntime,
-    get_runtime,
-    patch_threading,
-    set_runtime,
-)
-from repro.server import CommunixServer, ServerConfig, ServerTransport
-from repro.util.errors import (
-    CommunixError,
-    CryptoError,
-    DeadlockError,
-    ProtocolError,
-    RateLimitExceeded,
-    ValidationError,
-)
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "CommunixClient",
-    "InProcessEndpoint",
-    "SocketEndpoint",
-    "CallStack",
-    "ClientSideValidator",
-    "CommunixAgent",
-    "CommunixPlugin",
-    "DeadlockHistory",
-    "DeadlockSignature",
-    "Frame",
-    "Generalizer",
-    "LocalRepository",
-    "PythonAppAdapter",
-    "ThreadSignature",
-    "merge_signatures",
-    "CommunixNode",
-    "AES128",
-    "UserIdAuthority",
-    "DimmunixConfig",
-    "DimmunixLock",
-    "DimmunixRLock",
-    "DimmunixRuntime",
-    "get_runtime",
-    "patch_threading",
-    "set_runtime",
-    "CommunixServer",
-    "ServerConfig",
-    "ServerTransport",
-    "CommunixError",
-    "CryptoError",
-    "DeadlockError",
-    "ProtocolError",
-    "RateLimitExceeded",
-    "ValidationError",
-    "__version__",
-]

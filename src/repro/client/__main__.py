@@ -2,7 +2,7 @@
 
 Usage::
 
-    python -m repro.client --server tcp://HOST:PORT [--repository PATH]
+    python -m repro.client --server tcp://HOST:PORT [--repository DIR]
         [--period-seconds 86400] [--once]
     python -m repro.client stats --server tcp://HOST:PORT [--watch N]
 
@@ -33,6 +33,7 @@ from repro.client.endpoints import SocketEndpoint
 from repro.core.repository import LocalRepository
 from repro.net import EndpointError
 from repro.obs import Histogram
+from repro.util.errors import HistoryError
 from repro.util.logging import enable_console_logging
 
 
@@ -46,8 +47,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="server endpoint: tcp://HOST:PORT or unix:///PATH",
     )
     parser.add_argument(
-        "--repository", default="communix-repository.json",
-        help="local repository file (created if missing)",
+        "--repository", default="communix-repository",
+        help="local repository directory: signature log segments plus a "
+             "state.json sidecar (created if missing)",
     )
     parser.add_argument(
         "--period-seconds", type=float, default=DEFAULT_PERIOD,
@@ -163,7 +165,10 @@ def main(argv: list[str] | None = None) -> int:
         endpoint = SocketEndpoint(args.server)
     except EndpointError as exc:
         raise SystemExit(f"--server: {exc}")
-    repository = LocalRepository(path=args.repository)
+    try:
+        repository = LocalRepository(path=args.repository)
+    except HistoryError as exc:
+        raise SystemExit(f"--repository: {exc}")
     client = CommunixClient(
         endpoint=endpoint, repository=repository, period=args.period_seconds
     )
@@ -175,6 +180,7 @@ def main(argv: list[str] | None = None) -> int:
             f"repository now holds {len(repository)}"
         )
         endpoint.close()
+        repository.close()
         return 1 if report.failed else 0
     client.start()
     print(f"communix-client polling {args.server} every "
@@ -187,6 +193,7 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         client.stop()
         endpoint.close()
+        repository.close()
     return 0
 
 

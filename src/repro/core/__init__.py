@@ -1,49 +1,7 @@
 """Communix core: signatures, history, validation, generalization, plugin,
 agent — the paper's primary contribution (§III).
+
+Import from the modules (``repro.core.signature``, ``repro.core.node``,
+...); the package itself exports nothing, so the server can use
+``repro.core.signature`` without loading the client half.
 """
-
-from repro.core.agent import AgentReport, CommunixAgent
-from repro.core.generalization import Generalizer, IncorporateResult, merge_signatures
-from repro.core.history import DeadlockHistory
-from repro.core.plugin import CommunixPlugin, attach_hashes
-from repro.core.pyapp import PythonAppAdapter
-from repro.core.repository import LocalRepository
-from repro.core.signature import (
-    CallStack,
-    DeadlockSignature,
-    Frame,
-    ORIGIN_LOCAL,
-    ORIGIN_REMOTE,
-    ThreadSignature,
-)
-from repro.core.validation import (
-    ClientSideValidator,
-    MIN_OUTER_DEPTH,
-    RejectReason,
-    ValidationResult,
-    trim_stack,
-)
-
-__all__ = [
-    "AgentReport",
-    "CommunixAgent",
-    "Generalizer",
-    "IncorporateResult",
-    "merge_signatures",
-    "DeadlockHistory",
-    "CommunixPlugin",
-    "attach_hashes",
-    "PythonAppAdapter",
-    "LocalRepository",
-    "CallStack",
-    "DeadlockSignature",
-    "Frame",
-    "ORIGIN_LOCAL",
-    "ORIGIN_REMOTE",
-    "ThreadSignature",
-    "ClientSideValidator",
-    "MIN_OUTER_DEPTH",
-    "RejectReason",
-    "ValidationResult",
-    "trim_stack",
-]

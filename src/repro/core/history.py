@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from repro.core.signature import DeadlockSignature
+from repro.store.wal import durable_replace
 from repro.util.errors import HistoryError
 from repro.util.logging import get_logger
 
@@ -152,11 +153,9 @@ class DeadlockHistory:
                 {"origin": s.origin, "signature": s.encode()}
                 for s in self._signatures
             ]
-        tmp = target.with_suffix(target.suffix + ".tmp")
-        tmp.parent.mkdir(parents=True, exist_ok=True)
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump({"version": 1, "entries": records}, fh)
-        os.replace(tmp, target)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        data = json.dumps({"version": 1, "entries": records})
+        durable_replace(str(target), data.encode("utf-8"))
 
     def load(self, path: str | os.PathLike) -> int:
         """Load signatures from ``path``, merging into the current set."""

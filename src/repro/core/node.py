@@ -50,7 +50,7 @@ class CommunixNode:
         data_path = Path(data_dir) if data_dir is not None else None
 
         history_path = data_path / "history.json" if data_path else None
-        repo_path = data_path / "repository.json" if data_path else None
+        repo_path = data_path / "repository" if data_path else None
 
         self.history = DeadlockHistory(path=history_path)
         self.runtime = DimmunixRuntime(
@@ -137,6 +137,7 @@ class CommunixNode:
     def close(self) -> None:
         self.client.stop()
         self.plugin.close()
+        self.repository.close()
 
     def __enter__(self) -> "CommunixNode":
         self.start()

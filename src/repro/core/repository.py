@@ -12,25 +12,29 @@ startup.  Two invariants from the paper:
   check but failed the nesting check (those are re-checked when the
   application loads new classes).
 
-Persistence is split into two files so the two update rates never pay for
-each other: the main file holds the (append-only, potentially large)
-signature list and is rewritten only when new signatures arrive, while a
-small *sidecar* (``<path>.state``) holds the server index, per-app cursors
-and pending-nesting sets — so a cursor bump after an agent inspection
-serializes a few dozen bytes, not the whole repository.  This split
-layout (``"version": 2``) is the only one read; any other file is a
-:class:`HistoryError`.
+A file-backed repository is a directory: the server's own
+:class:`~repro.store.wal.SegmentedLog` with one record per stored
+signature (its ``u64`` is the signature's server index), plus a
+``state.json`` sidecar with the server index, cursors and pending sets.
+A page is one fsync'd log commit, then a sidecar replace.  A reopen
+resumes at least from ``last record + 1`` (a crash between the two costs
+a re-fetch that dedup absorbs); if recovery cut a damaged tail, it
+rewinds there and clamps the cursors (``docs/architecture.md`` §7).
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import threading
 from pathlib import Path
 
 from repro.core.signature import DeadlockSignature, ORIGIN_REMOTE
-from repro.util.errors import HistoryError
+from repro.store.wal import SegmentedLog, durable_replace
+from repro.util.errors import HistoryError, ValidationError
+
+STATE_NAME = "state.json"
 
 
 class LocalRepository:
@@ -38,18 +42,15 @@ class LocalRepository:
 
     def __init__(self, path: str | os.PathLike | None = None):
         self._path = Path(path) if path is not None else None
-        self._state_path = (
-            self._path.with_suffix(self._path.suffix + ".state")
-            if self._path is not None else None
-        )
         self._lock = threading.RLock()
         self._signatures: list[DeadlockSignature] = []
         self._ids: set[str] = set()
         self._server_index = 0  # next index to request from the server
         self._cursors: dict[str, int] = {}
         self._pending_nesting: dict[str, list[int]] = {}
-        if self._path is not None and self._path.exists():
-            self._load()
+        self._log: SegmentedLog | None = None
+        if self._path is not None:
+            self._open()
 
     # ------------------------------------------------------------- content
     def __len__(self) -> int:
@@ -67,29 +68,32 @@ class LocalRepository:
         """Store a batch downloaded from the server (in server order)."""
         added = 0
         with self._lock:
-            for sig in signatures:
+            # A record's index must not exceed the real one, or a reopen
+            # would resume past it.
+            first = self._server_index
+            if next_server_index is not None:
+                first = max(0, min(first, next_server_index - len(signatures)))
+            for offset, sig in enumerate(signatures):
                 sig = sig.with_origin(ORIGIN_REMOTE)
                 if sig.sig_id in self._ids:
                     continue
+                if self._log is not None:
+                    self._log.append_unflushed(sig.to_bytes(), first + offset)
                 self._signatures.append(sig)
                 self._ids.add(sig.sig_id)
                 added += 1
+            if added and self._log is not None:
+                self._log.commit_appended(self._log.record_count)
             if next_server_index is not None:
                 self._server_index = max(self._server_index, next_server_index)
             else:
                 self._server_index += len(signatures)
-        if added:
-            self._save_signatures()
-        self._save_state()  # server_index moves even on all-duplicate batches
+            self._save_state()  # server_index moves even on all-duplicate batches
         return added
 
     def signature_at(self, index: int) -> DeadlockSignature:
         with self._lock:
             return self._signatures[index]
-
-    def all_signatures(self) -> list[DeadlockSignature]:
-        with self._lock:
-            return list(self._signatures)
 
     # ----------------------------------------------- per-application state
     def new_signatures_for(self, app_key: str) -> list[tuple[int, DeadlockSignature]]:
@@ -101,7 +105,7 @@ class LocalRepository:
     def advance_cursor(self, app_key: str, new_cursor: int) -> None:
         with self._lock:
             self._cursors[app_key] = max(self._cursors.get(app_key, 0), new_cursor)
-        self._save_state()
+            self._save_state()
 
     def get_cursor(self, app_key: str) -> int:
         with self._lock:
@@ -116,76 +120,49 @@ class LocalRepository:
     def set_pending_nesting(self, app_key: str, indices: list[int]) -> None:
         with self._lock:
             self._pending_nesting[app_key] = sorted(set(indices))
-        self._save_state()
+            self._save_state()
 
     # --------------------------------------------------------- persistence
-    @staticmethod
-    def _write_atomic(path: Path, payload: dict) -> None:
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.parent.mkdir(parents=True, exist_ok=True)
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp, path)
-
-    def _save_signatures(self) -> None:
-        """Rewrite the (large) signature file — only when signatures arrive."""
-        if self._path is None:
-            return
-        with self._lock:
-            payload = {
-                "version": 2,
-                "signatures": [s.encode() for s in self._signatures],
-            }
-        self._write_atomic(self._path, payload)
+    def close(self) -> None:
+        """Flush and release the log (a no-op in memory)."""
+        if self._log is not None:
+            self._log.close()
 
     def _save_state(self) -> None:
-        """Rewrite only the small sidecar: server index, cursors, pending."""
-        if self._state_path is None:
+        """Replace the small sidecar: server index, cursors, pending."""
+        if self._path is None:
             return
-        with self._lock:
-            payload = {
-                "version": 1,
-                "server_index": self._server_index,
-                "cursors": dict(self._cursors),
-                "pending_nesting": {
-                    k: list(v) for k, v in self._pending_nesting.items()
-                },
-            }
-        self._write_atomic(self._state_path, payload)
+        durable_replace(str(self._path / STATE_NAME), json.dumps({
+            "server_index": self._server_index,
+            "cursors": self._cursors,
+            "pending_nesting": self._pending_nesting,
+        }).encode("utf-8"))
 
-    def _load(self) -> None:
+    def _open(self) -> None:
+        if self._path.exists() and not self._path.is_dir():
+            raise HistoryError(f"repository {self._path} is a file, "
+                               "not a directory of log segments")
+        gc_was_enabled = gc.isenabled()
+        gc.disable()  # as in SignatureStore: the parse builds only acyclic objects
         try:
-            with open(self._path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except (OSError, ValueError) as exc:
+            state_path = self._path / STATE_NAME
+            state = json.loads(state_path.read_bytes()) if state_path.exists() else {}
+            self._log = SegmentedLog(str(self._path))
+            indices, blobs = self._log.recovered_columns()
+            self._signatures = [DeadlockSignature.from_bytes(b) for b in blobs]
+            self._ids = {sig.sig_id for sig in self._signatures}
+        except (OSError, ValueError, ValidationError) as exc:
             raise HistoryError(f"cannot read repository {self._path}: {exc}") from exc
-        if not isinstance(payload, dict) or payload.get("version") != 2:
-            raise HistoryError(
-                f"unsupported repository format in {self._path} "
-                "(want the version-2 split layout)"
-            )
-        for encoded in payload.get("signatures", []):
-            sig = DeadlockSignature.decode(encoded, origin=ORIGIN_REMOTE)
-            if sig.sig_id not in self._ids:
-                self._signatures.append(sig)
-                self._ids.add(sig.sig_id)
-        self._restore_state(self._read_state_file() or {})
-
-    def _read_state_file(self) -> dict | None:
-        if self._state_path is None or not self._state_path.exists():
-            return None
-        try:
-            with open(self._state_path, "r", encoding="utf-8") as fh:
-                return json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise HistoryError(
-                f"cannot read repository state {self._state_path}: {exc}"
-            ) from exc
-
-    def _restore_state(self, state: dict) -> None:
-        self._server_index = int(state.get("server_index", len(self._signatures)))
-        self._cursors = {k: int(v) for k, v in state.get("cursors", {}).items()}
-        self._pending_nesting = {
-            k: [int(i) for i in v]
-            for k, v in state.get("pending_nesting", {}).items()
-        }
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+        count = len(self._signatures)
+        resume = indices[-1] + 1 if indices else 0
+        recovery = self._log.recovery
+        if not (recovery.truncated_bytes or recovery.orphaned_segments):
+            resume = max(int(state.get("server_index", 0)), resume)
+        self._server_index = resume
+        cursors, pending = state.get("cursors", {}), state.get("pending_nesting", {})
+        self._cursors = {key: min(int(c), count) for key, c in cursors.items()}
+        self._pending_nesting = {key: [i for i in map(int, p) if i < count]
+                                 for key, p in pending.items()}

@@ -50,7 +50,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from repro.store.wal import fsync_dir
+from repro.store.wal import durable_replace, fsync_dir
 from repro.util.logging import get_logger
 
 log = get_logger("store.checkpoint")
@@ -145,15 +145,8 @@ def manifest_path(data_dir: str) -> str:
 
 def write_manifest(data_dir: str, manifest: Manifest) -> None:
     """Atomically persist the manifest (crash-safe replace)."""
-    path = manifest_path(data_dir)
-    tmp = path + ".tmp"
     data = json.dumps(manifest.encode(), separators=(",", ":"))
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    fsync_dir(data_dir)
+    durable_replace(manifest_path(data_dir), data.encode("utf-8"))
 
 
 def uid_watermark_path(data_dir: str) -> str:
@@ -162,14 +155,7 @@ def uid_watermark_path(data_dir: str) -> str:
 
 def write_uid_watermark(data_dir: str, next_uid: int) -> None:
     """Atomically persist the next-uid watermark (crash-safe replace)."""
-    path = uid_watermark_path(data_dir)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(f"{next_uid}\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    fsync_dir(data_dir)
+    durable_replace(uid_watermark_path(data_dir), f"{next_uid}\n".encode())
 
 
 def load_uid_watermark(data_dir: str) -> int:

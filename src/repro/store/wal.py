@@ -80,6 +80,20 @@ def fsync_dir(path: str) -> None:
         os.close(fd)
 
 
+def durable_replace(path: str, data: bytes) -> None:
+    """Replace the file at ``path`` with ``data`` so that a crash leaves
+    either the old file or the new one, whole: write a temp file, fsync
+    it, rename it over ``path``, then fsync the directory so the rename
+    itself survives a power loss."""
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+    fsync_dir(os.path.dirname(path) or ".")
+
+
 def list_segments(data_dir: str) -> list[tuple[int, str]]:
     """Sorted ``(seq, filename)`` pairs of the segment files in a dir."""
     found = []

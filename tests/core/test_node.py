@@ -77,7 +77,9 @@ def test_data_dir_layout(tmp_path, server, shared_factory):
                         data_dir=tmp_path / "node5")
     try:
         node.sync_now()
-        assert (tmp_path / "node5" / "repository.json").exists()
+        repository = tmp_path / "node5" / "repository"
+        assert (repository / "segment-00000000.cxlog").is_file()
+        assert (repository / "state.json").is_file()
     finally:
         node.close()
 

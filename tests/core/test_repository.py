@@ -81,79 +81,34 @@ class TestPendingNesting:
 
 class TestPersistence:
     def test_save_load_round_trip(self, tmp_path, sigs):
-        path = tmp_path / "repo.json"
+        path = tmp_path / "repo"
         repo = LocalRepository(path=path)
         repo.append_from_server(sigs[:3], next_server_index=7)
         repo.advance_cursor("appX", 2)
         repo.set_pending_nesting("appX", [1])
+        repo.close()
 
         reloaded = LocalRepository(path=path)
-        assert len(reloaded) == 3
-        assert reloaded.server_index == 7
+        assert (len(reloaded), reloaded.server_index) == (3, 7)
         assert reloaded.get_cursor("appX") == 2
         assert reloaded.pending_nesting("appX") == [1]
-        assert reloaded.signature_at(0).sig_id == sigs[0].sig_id
+        assert reloaded.signature_at(2).sig_id == sigs[2].sig_id
 
-    def test_cursor_bump_does_not_rewrite_signatures(self, tmp_path, sigs):
-        """Regression for O(n) persistence: advance_cursor / pending-nesting
-        updates must only touch the small sidecar, never re-encode the
-        signature list."""
-        path = tmp_path / "repo.json"
-        repo = LocalRepository(path=path)
-        repo.append_from_server(sigs, next_server_index=5)
-        stat_before = path.stat()
-        marker = (stat_before.st_mtime_ns, stat_before.st_ino, path.read_bytes())
-        repo.advance_cursor("appX", 3)
-        repo.set_pending_nesting("appX", [1, 2])
-        stat_after = path.stat()
-        assert (stat_after.st_mtime_ns, stat_after.st_ino,
-                path.read_bytes()) == marker
-        sidecar = tmp_path / "repo.json.state"
-        assert sidecar.exists()
+    def test_missing_sidecar_defaults_to_signature_count(self, tmp_path, sigs):
+        path = tmp_path / "repo"
+        LocalRepository(path=path).append_from_server(sigs[:3])
+        (path / "state.json").unlink()
         reloaded = LocalRepository(path=path)
-        assert reloaded.get_cursor("appX") == 3
-        assert reloaded.pending_nesting("appX") == [1, 2]
-        assert reloaded.server_index == 5
+        assert (len(reloaded), reloaded.server_index) == (3, 3)
+        assert reloaded.get_cursor("appX") == 0
 
-    def test_version_1_single_file_layout_rejected(self, tmp_path, sigs):
-        """The single-file layout (state inline, ``"version": 1``) is no
-        longer read or migrated: loading one names the file and leaves it
-        untouched."""
-        import json
-
+    @pytest.mark.parametrize("text", [
+        '{"version": 2, "signatures": []}',  # a JSON repository left behind
+        '{"version": 42}', "[1, 2]", "{}", "not json at all {"])
+    def test_wrong_version_raises(self, tmp_path, text):
+        """A regular file at the path is not read, and is left as it is."""
         path = tmp_path / "repo.json"
-        text = json.dumps({
-            "version": 1,
-            "server_index": 9,
-            "signatures": [s.encode() for s in sigs[:2]],
-            "cursors": {"appX": 2},
-            "pending_nesting": {"appX": [0]},
-        })
         path.write_text(text)
         with pytest.raises(HistoryError, match=str(path)):
             LocalRepository(path=path)
         assert path.read_text() == text
-        assert not (tmp_path / "repo.json.state").exists()
-
-    def test_missing_sidecar_defaults_to_signature_count(self, tmp_path, sigs):
-        path = tmp_path / "repo.json"
-        repo = LocalRepository(path=path)
-        repo.append_from_server(sigs[:3])
-        (tmp_path / "repo.json.state").unlink()
-        reloaded = LocalRepository(path=path)
-        assert len(reloaded) == 3
-        assert reloaded.server_index == 3
-        assert reloaded.get_cursor("appX") == 0
-
-    def test_corrupt_file_raises(self, tmp_path):
-        path = tmp_path / "repo.json"
-        path.write_text("not json at all {")
-        with pytest.raises(HistoryError):
-            LocalRepository(path=path)
-
-    @pytest.mark.parametrize("text", ['{"version": 42}', "[1, 2]", "{}"])
-    def test_wrong_version_raises(self, tmp_path, text):
-        path = tmp_path / "repo.json"
-        path.write_text(text)
-        with pytest.raises(HistoryError):
-            LocalRepository(path=path)

@@ -58,7 +58,7 @@ class TestServerCli:
         finally:
             endpoint.close()
 
-        repo_path = tmp_path / "repo.json"
+        repo_path = tmp_path / "repo"
         completed = subprocess.run(
             [
                 sys.executable, "-m", "repro.client",
@@ -153,7 +153,7 @@ class TestServerCli:
                 [
                     sys.executable, "-m", "repro.client",
                     "--server", url,
-                    "--repository", str(tmp_path / "repo.json"),
+                    "--repository", str(tmp_path / "repo"),
                     "--once",
                 ],
                 capture_output=True,

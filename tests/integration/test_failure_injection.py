@@ -4,12 +4,13 @@ A production deployment survives partial failures; these tests pin the
 documented behaviour for each failure mode.
 """
 
-import json
+import os
 import random
 
 import pytest
 
 import repro.sim.workloads as workloads_mod
+import repro.store.wal as wal_module
 from repro.client.client import CommunixClient
 from repro.client.endpoints import InProcessEndpoint, SocketEndpoint
 from repro.core.history import DeadlockHistory
@@ -19,6 +20,7 @@ from repro.core.repository import LocalRepository
 from repro.crypto.userid import UserIdAuthority
 from repro.server.server import CommunixServer
 from repro.sim.workloads import TwoLockProgram
+from repro.store.records import HEADER_BYTES, record_size
 from repro.util.clock import ManualClock
 from repro.util.errors import HistoryError
 
@@ -39,15 +41,91 @@ class TestCorruptPersistence:
         with pytest.raises(HistoryError):
             DeadlockHistory(path=path)
 
-    def test_repository_entry_corruption(self, tmp_path, shared_factory):
-        path = tmp_path / "repo.json"
+
+@pytest.fixture
+def sigs(shared_factory):
+    return [shared_factory.make_valid() for _ in range(8)]
+
+
+class ListServer:
+    """A server database as a list of blobs, paged like the real one."""
+
+    def __init__(self, signatures):
+        self.blobs = [s.to_bytes() for s in signatures]
+
+    def get_page(self, start, count):
+        page = self.blobs[start:start + count]
+        return start + len(page), page, start + len(page) < len(self.blobs)
+
+
+def poll(repo, server):
+    return CommunixClient(server, repo, page_size=2).poll_once()
+
+
+def ids(repo):
+    return [repo.signature_at(i).sig_id for i in range(len(repo))]
+
+
+class TestRepositoryCrashAndDamage:
+    @pytest.mark.parametrize("damage, survivors, pending",
+                             [("torn", 7, [1, 5]), ("crc", 3, [1])],
+                             ids=["torn", "crc"])
+    def test_damage_rewinds_and_next_poll_restores(self, tmp_path, sigs,
+                                                   damage, survivors, pending):
+        """A torn last record or a CRC-damaged middle one: the server index
+        rewinds to the damaged record, cursors and pending clamp, and the
+        next poll fetches exactly what was lost, in server order."""
+        path = tmp_path / "repo"
+        server = ListServer(sigs)
         repo = LocalRepository(path=path)
-        repo.append_from_server([shared_factory.make_valid()])
-        payload = json.loads(path.read_text())
-        payload["signatures"][0]["threads"] = "oops"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(Exception):
-            LocalRepository(path=path)
+        poll(repo, server)
+        repo.advance_cursor("appX", 8)
+        repo.set_pending_nesting("appX", [1, 5, 7])
+        repo.close()
+        at = sum(map(record_size, server.blobs[:survivors])) + HEADER_BYTES
+        with open(path / "segment-00000000.cxlog", "r+b") as fh:
+            if damage == "torn":
+                fh.truncate(at + 3)
+            else:
+                fh.seek(at + 20)
+                fh.write(b"\0")  # inside the blob's JSON text: never a NUL
+
+        reopened = LocalRepository(path=path)
+        assert (len(reopened), reopened.server_index) == (survivors, survivors)
+        assert reopened.get_cursor("appX") == survivors
+        assert reopened.pending_nesting("appX") == pending
+        report = poll(reopened, server)
+        assert (report.requested_from, report.stored) == (survivors,
+                                                         8 - survivors)
+        assert ids(reopened) == [s.sig_id for s in sigs]
+
+    def test_crash_between_log_commit_and_sidecar(self, tmp_path, sigs,
+                                                  monkeypatch):
+        """Page 2 reaches the log but not the sidecar: the reopen resumes
+        after the log's last record, re-fetching at most that page's tail
+        (here a duplicate), which dedup absorbs."""
+        path = tmp_path / "repo"
+        server = ListServer([*sigs[:3], sigs[0], *sigs[3:6]])
+        repo = LocalRepository(path=path)
+        real_fsync, calls = os.fsync, []
+
+        def crashing_fsync(fd):
+            calls.append(fd)
+            if len(calls) == 5:  # page 1: log, sidecar, dir; page 2: log, *
+                raise OSError("simulated crash")
+            real_fsync(fd)
+
+        monkeypatch.setattr(wal_module.os, "fsync", crashing_fsync)
+        with pytest.raises(OSError, match="simulated crash"):
+            poll(repo, server)
+        monkeypatch.undo()
+
+        reopened = LocalRepository(path=path)
+        assert (len(reopened), reopened.server_index) == (3, 3)
+        report = poll(reopened, server)
+        assert (report.requested_from, report.received,
+                report.stored) == (3, 4, 3)
+        assert ids(reopened) == [s.sig_id for s in sigs[:6]]
 
 
 class TestDeadServer:

@@ -48,7 +48,7 @@ class TestPaginatedDistribution:
                                                    tmp_path):
         server, endpoint = stack
         upload(server, shared_factory, 30)
-        repo = LocalRepository(path=tmp_path / "repo.json")
+        repo = LocalRepository(path=tmp_path / "repo")
         client = CommunixClient(
             endpoint=endpoint, repository=repo,
             clock=ManualClock(start=1_000_000.0), page_size=8,
