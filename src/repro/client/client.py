@@ -77,11 +77,7 @@ class CommunixClient:
                     cursor, self.page_size
                 )
             except CommunixError as exc:
-                report.failed = True
-                report.error = str(exc)
-                log.warning("download failed: %s", exc)
-                self.reports.append(report)
-                return report
+                return self._failed(report, "download failed", exc)
             report.pages += 1
             report.received += len(blobs)
             signatures: list[DeadlockSignature] = []
@@ -108,6 +104,14 @@ class CommunixClient:
         )
         return report
 
+    def _failed(self, report: DownloadReport, what: str,
+                exc: Exception) -> DownloadReport:
+        report.failed = True
+        report.error = str(exc)
+        log.warning("%s: %s", what, exc)
+        self.reports.append(report)
+        return report
+
     # ---------------------------------------------------------- background
     def start(self) -> None:
         """Run the daily poll in a daemon thread (idempotent)."""
@@ -131,7 +135,14 @@ class CommunixClient:
         while not self._stop.wait(0.02):
             now = self.clock.now()
             if now >= self._next_due:
+                start = self.repository.server_index
                 try:
                     self.poll_once()
+                except OSError as exc:
+                    # A full disk or a failed fsync ends this poll, not
+                    # the poller: the next one resumes from the last
+                    # stored page.
+                    self._failed(DownloadReport(requested_from=start),
+                                 "storing a page failed", exc)
                 finally:
                     self._next_due = now + self.period

@@ -82,7 +82,9 @@ class LocalRepository:
                 self._signatures.append(sig)
                 self._ids.add(sig.sig_id)
                 added += 1
-            if added and self._log is not None:
+            if self._log is not None:
+                # Also covers records a failed commit left buffered: the
+                # retry of that page finds them all duplicates.
                 self._log.commit_appended(self._log.record_count)
             if next_server_index is not None:
                 self._server_index = max(self._server_index, next_server_index)

@@ -8,7 +8,7 @@ every stage of its request pipeline (see ``docs/architecture.md`` §9):
   records into it too, so server-side and client-side histograms are
   directly comparable and share a wire form), and
   :class:`StageHistogram`, a thread-sharded recorder safe to hammer from
-  the worker pool and the event loop at once;
+  several threads at once;
 * :mod:`repro.obs.registry` — :class:`MetricsRegistry`, the process-wide
   home of named counters, gauges, and stage histograms, plus
   :data:`NULL_REGISTRY`, the compiled-out no-op twin the overhead
@@ -44,7 +44,6 @@ from repro.obs.trace import (
     STAGE_DB_APPEND,
     STAGE_DB_READ,
     STAGE_FLUSH,
-    STAGE_GROUP_COMMIT,
     STAGE_HANDLER,
     STAGE_QUEUE_WAIT,
     STAGE_VALIDATE,
@@ -74,7 +73,6 @@ __all__ = [
     "STAGE_DB_APPEND",
     "STAGE_DB_READ",
     "STAGE_FLUSH",
-    "STAGE_GROUP_COMMIT",
     "STAGE_HANDLER",
     "STAGE_QUEUE_WAIT",
     "STAGE_VALIDATE",

@@ -11,7 +11,7 @@ Stage names are shared constants so histogram names, trace keys, and the
 docs' stage diagram can never drift apart:
 
     queue_wait -> validate (crypto on cache miss)
-    -> db_append (wal_fsync inside; group_commit is the leader wait)
+    -> db_append (wal_fsync inside)
     -> handler (end-to-end dispatch) -> flush
     db_read replaces validate + db_append on a GET.
 """
@@ -30,7 +30,6 @@ __all__ = [
     "STAGE_DB_APPEND",
     "STAGE_DB_READ",
     "STAGE_WAL_FSYNC",
-    "STAGE_GROUP_COMMIT",
     "STAGE_HANDLER",
     "STAGE_FLUSH",
     "ALL_STAGES",
@@ -40,14 +39,13 @@ __all__ = [
     "format_trace_id",
 ]
 
-STAGE_QUEUE_WAIT = "queue_wait"      # frame parsed -> worker dequeues it
+STAGE_QUEUE_WAIT = "queue_wait"      # frame parsed -> handler starts
 STAGE_VALIDATE = "validate"          # token decode + quota + adjacency
 STAGE_CRYPTO = "crypto"              # authority.decode on token-cache miss
 STAGE_DB_APPEND = "db_append"        # database append incl. durable store
 STAGE_DB_READ = "db_read"            # wire-page composition for GET
 STAGE_WAL_FSYNC = "wal_fsync"        # flush + fsync wait inside the WAL
-STAGE_GROUP_COMMIT = "group_commit"  # commit-leader wait inside wal_fsync
-STAGE_HANDLER = "handler"            # whole dispatch on the worker
+STAGE_HANDLER = "handler"            # whole dispatch on the loop
 STAGE_FLUSH = "flush"                # response queued -> last byte written
 
 ALL_STAGES = (
@@ -57,7 +55,6 @@ ALL_STAGES = (
     STAGE_DB_APPEND,
     STAGE_DB_READ,
     STAGE_WAL_FSYNC,
-    STAGE_GROUP_COMMIT,
     STAGE_HANDLER,
     STAGE_FLUSH,
 )

@@ -15,8 +15,8 @@ simultaneously (TCP and UNIX-domain clients share one database); the
 default is ``tcp://127.0.0.1:7199``.  With ``--data-dir`` the signature
 database is durable: accepted signatures go to a segmented write-ahead
 log (fsync policy per ``--fsync``), restart replays it, and ``SIGTERM``/
-``SIGINT`` trigger a graceful drain — in-flight requests finish, the log
-is flushed and sealed with a final checkpoint, UNIX socket files are
+``SIGINT`` trigger a graceful drain — queued responses are flushed, the
+log is flushed and sealed with a final checkpoint, UNIX socket files are
 unlinked — instead of the process dying mid-write.  The server prints its
 bound address(es) and serves until interrupted.  Clients connect with
 :class:`repro.client.SocketEndpoint` or via ``python -m repro.client``.
@@ -69,18 +69,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="listen backlog (raise for large client ramps)",
     )
     parser.add_argument(
-        "--workers", type=int, default=8,
-        help="request-processing worker threads",
-    )
-    parser.add_argument(
         "--data-dir", metavar="DIR", default=None,
         help="persist the signature database to a segmented write-ahead "
              "log in DIR (replayed on restart); default: memory only",
     )
     parser.add_argument(
         "--fsync", choices=FSYNC_POLICIES, default="always",
-        help="store fsync policy: 'always' (acked ADDs survive kill -9; "
-             "concurrent ADDs share group-committed fsyncs) or 'never' "
+        help="store fsync policy: 'always' (one fsync per accepted ADD "
+             "before its ack; acked ADDs survive kill -9) or 'never' "
              "(the OS decides; the graceful drain and the final "
              "checkpoint still fsync)",
     )
@@ -188,17 +184,17 @@ def main(argv: list[str] | None = None) -> int:
         )
     transport = ServerTransport(
         server, endpoints=endpoints,
-        accept_backlog=args.backlog, workers=args.workers,
+        accept_backlog=args.backlog,
         idle_timeout=args.idle_timeout,
         admin_endpoints=admin_endpoints,
     )
     # SIGTERM/SIGINT request a *graceful* stop: the handler only sets the
-    # event, and the main thread then runs the full drain — in-flight
-    # requests finish, the store is flushed and sealed (final checkpoint),
-    # listeners close and UNIX socket files are unlinked — so a signaled
-    # server never dies mid-write.  Installed before the listeners open,
-    # so a signal sent the instant the readiness line appears is drained
-    # too, not fatal.
+    # event, and the main thread then runs the full drain — queued
+    # responses are flushed, the store is flushed and sealed (final
+    # checkpoint), listeners close and UNIX socket files are unlinked — so
+    # a signaled server never dies mid-write.  Installed before the
+    # listeners open, so a signal sent the instant the readiness line
+    # appears is drained too, not fatal.
     stop = threading.Event()
     signal.signal(signal.SIGINT, lambda *_: stop.set())
     signal.signal(signal.SIGTERM, lambda *_: stop.set())

@@ -35,12 +35,12 @@ The database is memory-first but optionally **durable**: give it a
 recovered columns over in bulk — the metadata lists as they are, the
 blobs sliced into sealed segments, the dedup map and the per-user
 adjacency index built in one pass each.  Every append, with a store or
-without, takes the same staged path: stage the entry (and the log record)
-under the append lock, commit the store outside it — the group-committed
-fsync under ``always``, skipped when there is no store — then publish, so
-an acked ADD survives ``kill -9`` and concurrent ADDs share one fsync.
-The disk write happens on whatever thread calls :meth:`append` (the
-server's worker pool), never on the transport's event loop.
+without, is one critical section: dedup, the store's durable append (the
+log write and its fsync under ``always``), then the in-memory entry and
+its publication — so an acked ADD survives ``kill -9``, and no entry is
+visible, or found by a duplicate, before its record is durable.  The
+disk write happens on whatever thread calls :meth:`append`: in the
+server, the transport's event loop.
 """
 
 from __future__ import annotations
@@ -84,12 +84,6 @@ class _Segment:
     def append(self, blob: bytes) -> None:
         with self.lock:
             self.blobs.append(blob)
-            self._snapshot = None
-            self._wire = None
-
-    def pop(self) -> None:
-        with self.lock:
-            self.blobs.pop()
             self._snapshot = None
             self._wire = None
 
@@ -192,8 +186,7 @@ class SignatureDatabase:
         self._append_lock = threading.Lock()
         self._segments: list[_Segment] = [_Segment(0)]
         self._count = 0  # published last; readers snapshot it lock-free
-        # One slot per staged entry, index-aligned (blobs live in the
-        # segments).
+        # One slot per entry, index-aligned (blobs live in the segments).
         self._sig_ids: list[str] = []
         self._uids: list[int] = []
         self._top_frames: list[frozenset] = []
@@ -278,64 +271,40 @@ class SignatureDatabase:
         is the expected steady state.  ``trace`` rides down to the store
         so the WAL can stamp its fsync wait.
 
-        One path, in three phases, so concurrent ADDs share one
-        group-committed fsync instead of serializing behind the append
-        lock: (1) stage — the log's write phase plus the in-memory entry,
-        invisible to readers until ``_count`` publishes it; (2) commit —
-        the fsync, *outside* the append lock (skipped without a store);
-        (3) publish.  Durability before visibility holds: ``_count`` only
-        ever advances over fsync-covered records (the log's durable
-        prefix is monotone, so a later committer publishing past an
-        earlier stager's record is sound).
+        One critical section under the append lock: dedup, then the
+        store's append (write plus fsync, rolled back when either fails,
+        in which case the ``OSError`` propagates and nothing here
+        changes), then the in-memory entry, then ``_count`` publishes it.
+        Durability before visibility: readers and duplicates only ever
+        see entries whose records are on disk.
         """
         store = self._store
+        sig_id = signature.sig_id
         with self._append_lock:
-            existing = self._by_sig_id.get(signature.sig_id)
-            if existing is not None and existing < self._count:
-                return existing
+            existing = self._by_sig_id.get(sig_id)
             if existing is not None:
-                # A concurrent append staged this signature and its fsync
-                # is in flight; wait for the same group commit below —
-                # acking a duplicate must not outrun its durability.
-                index = existing
-            else:
-                index = len(self._sig_ids)
-                if store is not None:
-                    logged = store.stage_append(blob, signature.sig_id,
-                                                sender_uid,
-                                                signature.top_frames)
-                    if logged != index:  # pragma: no cover - logic guard
-                        raise RuntimeError(
-                            f"store index {logged} diverged from database "
-                            f"index {index}"
-                        )
-                self._stage_locked(blob, signature.sig_id, sender_uid,
-                                   signature.top_frames)
-        if store is not None:
-            try:
-                store.commit_staged(index + 1, trace=trace)
-            except OSError:
-                with self._append_lock:
-                    # Undo the stage when the log could (newest record, no
-                    # covering fsync — then stage order makes ours newest
-                    # here too).  Otherwise the record stays in the log
-                    # unacked; a later publish or a restart replay
-                    # surfaces it, which is indistinguishable from a
-                    # client retry.
-                    if (store.rollback_staged(index)
-                            and len(self._sig_ids) == index + 1):
-                        self._unstage_locked(index)
-                raise
-        with self._append_lock:
-            if index >= len(self._sig_ids) or (
-                    self._sig_ids[index] != signature.sig_id):
-                # The stager this duplicate piggybacked on rolled its
-                # record back after the group fsync failed.
-                raise OSError("append was rolled back by a failed "
-                              "group commit")
-            if index >= self._count:
-                self._count = index + 1
-                self._page_cache.invalidate()
+                return existing
+            index = self._count
+            if store is not None:
+                logged = store.append(blob, sig_id, sender_uid,
+                                      signature.top_frames, trace=trace)
+                if logged != index:  # pragma: no cover - logic guard
+                    raise RuntimeError(
+                        f"store index {logged} diverged from database "
+                        f"index {index}"
+                    )
+            tail = self._segments[-1]
+            if len(tail.blobs) >= self._segment_size:
+                tail = _Segment(index)
+                self._segments.append(tail)
+            tail.append(blob)
+            self._sig_ids.append(sig_id)
+            self._uids.append(sender_uid)
+            self._top_frames.append(signature.top_frames)
+            self._by_sig_id[sig_id] = index
+            self._by_user.setdefault(sender_uid, []).append(index)
+            self._count = index + 1
+            self._page_cache.invalidate()
         if store is not None:
             # As the store's metadata provider, this database drives the
             # checkpoint cadence: only now — entry published — do both
@@ -352,45 +321,6 @@ class SignatureDatabase:
         slices need no lock."""
         return (self._sig_ids[lo:hi],
                 [tuple(sorted(f)) for f in self._top_frames[lo:hi]])
-
-    def _stage_locked(self, blob: bytes, sig_id: str, sender_uid: int,
-                      top_frames: frozenset) -> int:
-        """In-memory append *without* publication: the entry exists (so
-        log order and database order stay in lockstep, and a concurrent
-        duplicate finds it) but every reader is gated on ``_count``, which
-        the caller advances only once the record is durable."""
-        index = len(self._sig_ids)
-        tail = self._segments[-1]
-        if len(tail.blobs) >= self._segment_size:
-            tail = _Segment(index)
-            self._segments.append(tail)
-        tail.append(blob)
-        self._sig_ids.append(sig_id)
-        self._uids.append(sender_uid)
-        self._top_frames.append(top_frames)
-        self._by_sig_id[sig_id] = index
-        self._by_user.setdefault(sender_uid, []).append(index)
-        return index
-
-    def _unstage_locked(self, index: int) -> None:
-        """Undo the newest :meth:`_stage_locked` after its group commit
-        failed and the log rolled the record back (caller holds
-        ``_append_lock`` and has checked the entry is still the newest
-        and unpublished)."""
-        sig_id = self._sig_ids.pop()
-        uid = self._uids.pop()
-        self._top_frames.pop()
-        if self._by_sig_id.get(sig_id) == index:
-            del self._by_sig_id[sig_id]
-        indices = self._by_user.get(uid)
-        if indices and indices[-1] == index:
-            indices.pop()
-            if not indices:
-                del self._by_user[uid]
-        tail = self._segments[-1]
-        tail.pop()
-        if not tail.blobs and len(self._segments) > 1:
-            self._segments.pop()
 
     # ------------------------------------------------------------- reading
     def _range(self, start: int, max_count: int) -> tuple[int, int, int]:

@@ -56,8 +56,8 @@ class ServerConfig:
     #: :mod:`repro.store`).  ``None`` keeps the seed behavior — memory only,
     #: the database dies with the process.
     data_dir: str | None = None
-    #: Store fsync policy: ``always`` (an acked ADD survives kill -9;
-    #: concurrent ADDs share group-committed fsyncs) or ``never``
+    #: Store fsync policy: ``always`` (one fsync per accepted ADD before
+    #: its ack, so an acked ADD survives kill -9) or ``never``
     #: (OS-paced; the graceful drain, checkpoints and close still fsync).
     fsync_policy: str = "always"
     #: Write a checkpoint manifest every this many accepted signatures
@@ -328,7 +328,7 @@ class CommunixServer:
     def _checked_index(from_index) -> int:
         """Reject non-integral ``from_index`` before it reaches the
         database (a float or string from a caller must surface as a clean
-        protocol error, not a ``TypeError`` inside the worker pool).
+        protocol error, not a ``TypeError`` inside the handler).
         Negative indices are tolerated here and clamped by the database;
         the wire layer (``decode_get_args``) is stricter."""
         try:

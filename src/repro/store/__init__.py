@@ -8,7 +8,7 @@ append-only write-ahead log with CRC-framed records, an ``always`` or
 ``never`` fsync policy, torn-tail repair, and checkpointed restart:
 
 * :mod:`repro.store.records` — the ``len | crc32 | payload`` record frame;
-* :mod:`repro.store.wal` — segment files, rotation, group commit,
+* :mod:`repro.store.wal` — segment files, rotation, the fsync commit,
   crash recovery of the longest valid prefix;
 * :mod:`repro.store.checkpoint` — the ``MANIFEST.json`` snapshot that
   lets restart skip re-validating the checkpointed prefix;

@@ -4,12 +4,9 @@
 
 * **appends** go to the :class:`~repro.store.wal.SegmentedLog` (one record
   per *accepted, non-duplicate* signature, in database-index order — the
-  log is exactly the database's append history) along one path:
-  :meth:`~SignatureStore.stage_append` under the caller's lock,
-  :meth:`~SignatureStore.commit_staged` outside it (the group-committed
-  fsync under ``always``), then :meth:`~SignatureStore.maybe_checkpoint`.
-  :meth:`~SignatureStore.append` is those calls for a caller without a
-  lock of its own;
+  log is exactly the database's append history) through one call,
+  :meth:`~SignatureStore.append`: the log write and its fsync under
+  ``always``, rolled back when either fails;
 * **checkpoints** snapshot the derived metadata (content hashes, top-frame
   locations, the next user id) into ``MANIFEST.json`` so a restart can
   load the checkpointed prefix without re-validating it;
@@ -260,74 +257,41 @@ class SignatureStore:
                top_frames: frozenset, trace=None) -> int:
         """Log one accepted signature; returns its record index.
 
-        The same stage / commit / checkpoint calls the database makes, in
-        its order: under the ``always`` policy the record is fsynced
-        before this returns — the caller may ack the ADD the moment it
-        does.
-        """
-        index = self.stage_append(blob, sig_id, sender_uid, top_frames)
-        try:
-            self.commit_staged(index + 1, trace=trace)
-        except OSError:
-            # The record never became durable and the caller will treat
-            # this append as failed — undo it (log + mirrors) so the
-            # layers stay in lockstep, when the log still can.
-            self.rollback_staged(index)
-            raise
+        Under the ``always`` policy the record is fsynced before this
+        returns — the caller may ack the ADD the moment it does.  A failed
+        write or fsync is rolled back and raises ``OSError``.
+
+        Without a metadata provider the store mirrors the record's
+        metadata and then runs its own cadence checkpoint.  With one, the
+        provider owns both: it calls :meth:`maybe_checkpoint` once it has
+        published the entry, since a checkpoint must not cover a record
+        its provider does not hold yet."""
+        with self._lock:
+            index = self._log.append(blob, sender_uid, trace)
+            self._next_uid = max(self._next_uid, sender_uid + 1)
+            if self._provider is not None:
+                return index
+            # Under the same lock as the log write, so that _sig_ids[i]
+            # always describes log record i (checkpoints depend on it).
+            self._sig_ids.append(sig_id)
+            self._top_frames.append(top_frames)
+            self._uids.append(sender_uid)
         self.maybe_checkpoint()
         return index
-
-    def stage_append(self, blob: bytes, sig_id: str, sender_uid: int,
-                     top_frames: frozenset) -> int:
-        """The write phase: buffer the record and return its index — **no
-        durability yet**.  Callers that hold their own append lock (the
-        database) stage under it, then :meth:`commit_staged` outside it
-        (group-committed with every other in-flight append), then
-        publish; a failed commit goes through :meth:`rollback_staged`.
-
-        Log write and metadata mirror happen under one lock, so concurrent
-        appenders cannot interleave them: ``_sig_ids[i]`` always describes
-        log record ``i`` (checkpoints depend on it)."""
-        with self._lock:
-            index = self._log.append_unflushed(blob, sender_uid)
-            if self._provider is None:
-                self._sig_ids.append(sig_id)
-                self._top_frames.append(top_frames)
-                self._uids.append(sender_uid)
-            self._next_uid = max(self._next_uid, sender_uid + 1)
-            return index
-
-    def commit_staged(self, target: int, trace=None) -> None:
-        """Block until the first ``target`` staged records are durable
-        (one group-committed fsync under ``always``; immediate under
-        ``never``)."""
-        self._log.commit_appended(target, trace=trace)
-
-    def rollback_staged(self, index: int) -> bool:
-        """Undo a staged record whose commit failed, if it is still the
-        newest and no fsync covered it; mirrors are trimmed with it.
-        ``False`` means the record stays in the log (unacked) and the
-        caller reconciles around it."""
-        with self._lock:
-            rolled = self._log.rollback_appended(index)
-            if rolled and self._provider is None:
-                del self._sig_ids[index:]
-                del self._top_frames[index:]
-                del self._uids[index:]
-            return rolled
 
     def maybe_checkpoint(self) -> None:
         """Run a cadence checkpoint if ``checkpoint_every`` records have
         accumulated since the last one.
 
         Called once per committed append — by :meth:`append`, or by the
-        database right after it publishes the entry (the only moment both
-        layers agree on the full count).  Best-effort: the records being
-        covered are already durable in the log, so a failed manifest
-        write must not turn an ackable append into an error; restart just
-        replays a longer tail.  After a failure the next try waits for
-        another ``checkpoint_every`` records rather than rebuilding (and
-        failing) on every append while the disk is sick."""
+        metadata provider right after it publishes the entry (the only
+        moment both layers agree on the full count).  Best-effort: the
+        records being covered are already durable in the log, so a failed
+        manifest write must not turn an ackable append into an error;
+        restart just replays a longer tail.  After a failure the next try
+        waits for another ``checkpoint_every`` records rather than
+        rebuilding (and failing) on every append while the disk is
+        sick."""
         with self._lock:
             watermark = max(self._checkpoint_count, self._ckpt_failed_at)
             if (not self.checkpoint_every
@@ -386,7 +350,7 @@ class SignatureStore:
         Every other call appends a **delta line** covering only the
         records since the previous checkpoint — O(delta) instead of the
         O(history) full-manifest rewrite that used to stall the appending
-        worker once the store grew past ~50k signatures.  Returns the
+        thread once the store grew past ~50k signatures.  Returns the
         manifest for full writes, ``None`` for deltas.
 
         The count is snapshotted *before* the flush, so the checkpoint
@@ -475,8 +439,8 @@ class SignatureStore:
 
     @property
     def fsyncs_issued(self) -> int:
-        """Commit-phase fsyncs the log performed — the group-commit
-        batching ratio is ``record_count / fsyncs_issued``."""
+        """Commit-phase fsyncs the log performed: one per accepted append
+        under ``always``."""
         return self._log.fsyncs_issued
 
     @property

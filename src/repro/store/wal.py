@@ -7,17 +7,17 @@ so segment *n* always holds records ``[n * segment_records,
 "replay segment file → rebuild database segment" a one-to-one walk.
 
 Every append takes one path in two phases: :meth:`append_unflushed`
-buffers the record under the append lock, :meth:`commit_appended` makes
-it durable outside that lock, and :meth:`rollback_appended` undoes it when
-the commit fails.  :meth:`append` is exactly those three calls.  What the
-commit does is the **fsync policy**, one of :data:`FSYNC_POLICIES`:
+buffers the record, :meth:`commit_appended` makes every record buffered
+so far durable, and :meth:`rollback_appended` undoes the newest record
+when its commit fails.  :meth:`append` is exactly those three calls, for
+one record; a caller storing a batch (the client repository, one page at
+a time) buffers each record and commits once.  What the commit does is
+the **fsync policy**, one of :data:`FSYNC_POLICIES`:
 
-* ``always`` — no append returns before an fsync covers its record; an
-  acked ADD survives ``kill -9``.  Concurrent appends **group-commit**:
-  the first thread to reach the commit phase becomes the batch leader and
-  issues one fsync covering every record written so far; the others just
-  wait for a leader whose fsync covers them.  One disk flush amortises
-  over the whole batch.
+* ``always`` — the commit is one flush plus one fsync under the append
+  lock, so no append returns before an fsync covers its record and an
+  acked ADD survives ``kill -9``.  The server's single writer — its event
+  loop — pays one fsync per accepted ADD;
 * ``never`` — the commit is a no-op and the OS decides; a graceful drain,
   a checkpoint and a clean :meth:`close` still flush and fsync.
 
@@ -39,7 +39,7 @@ import threading
 from dataclasses import dataclass
 from time import perf_counter
 
-from repro.obs import STAGE_GROUP_COMMIT, STAGE_WAL_FSYNC
+from repro.obs import STAGE_WAL_FSYNC
 from repro.store.records import LogRecord, pack_record, scan_into
 from repro.util.logging import get_logger
 
@@ -118,9 +118,8 @@ class RecoveryReport:
 class SegmentedLog:
     """The durable byte layer: append records, rotate segments, recover.
 
-    Thread safety: :meth:`append` may be called from many worker threads
-    (they serialize on an internal lock for the write phase and share
-    group-committed fsyncs for the commit phase).
+    Thread safety: every phase runs under one internal lock, so
+    concurrent callers serialize, fsync included.
     """
 
     def __init__(self, data_dir: str,
@@ -138,18 +137,16 @@ class SegmentedLog:
         self.fsync_policy = check_fsync_policy(fsync)
         self.recovery = RecoveryReport()
         self._lock = threading.Lock()
-        self._commit_lock = threading.Lock()  # group-commit leader election
         self._file = None  # tail segment file handle (append mode)
         self._tail_seq = 0
         self._tail_records = 0
         self._count = 0
         self._durable = 0  # records covered by a completed fsync
-        self._fsyncs_issued = 0  # commit-phase fsyncs (batching visibility)
+        self._fsyncs_issued = 0  # commit-phase fsyncs
         self._last_pos = 0  # file offset of the newest record's start
         self._closed = False
         self._broken = False  # a failed write could not be rolled back
         self._h_fsync = None  # stage.wal_fsync histogram (set_metrics)
-        self._h_group = None  # stage.group_commit histogram (set_metrics)
         os.makedirs(data_dir, exist_ok=True)
         self._recovered = self._recover()
         self._durable = self._count  # everything recovered is on disk
@@ -286,16 +283,14 @@ class SegmentedLog:
         """Durably append one record; returns its log index.
 
         The write phase, the commit phase, and on a failed commit the
-        rollback — the same three calls the store makes.  All-or-nothing
-        when this record is the only one the failed commit covered: it is
-        rolled back (file truncated to its pre-append length, buffer
-        discarded) before the ``OSError`` propagates, so a failed append
-        changes nothing.  When a group fsync fails with *several* records
-        pending, none of the waiters ack (each surfaces the ``OSError``)
-        but the batch cannot be unwound — a crash-restart may then recover
-        records that were never acked, which is safe: replay is idempotent
-        at the database layer (sig_id dedup) and an unacked ADD
-        resurfacing is indistinguishable from a client retry.
+        rollback.  All-or-nothing when no other caller appended in
+        between: the record is rolled back (file truncated to its
+        pre-append length, buffer discarded) before the ``OSError``
+        propagates, so a failed append changes nothing.  Otherwise the
+        record stays in the log unacked; a restart's replay surfaces it,
+        which is safe: replay is idempotent at the database layer (sig_id
+        dedup) and an unacked ADD resurfacing is indistinguishable from a
+        client retry.
         """
         index = self.append_unflushed(blob, sender_uid)
         try:
@@ -308,12 +303,10 @@ class SegmentedLog:
     def append_unflushed(self, blob: bytes, sender_uid: int) -> int:
         """The write phase: buffer the record under the append lock and
         return its index — **no durability yet** under either policy.
-        The caller must follow up with :meth:`commit_appended` (outside
-        any lock of its own) before acking; this is how the store keeps
-        its metadata mirror in index-lockstep with the log without
-        serializing group commits behind its lock.  A failed write is
-        rolled back here; if even that fails the log marks itself broken
-        and every further append raises cleanly."""
+        The caller must follow up with :meth:`commit_appended` before
+        acking.  A failed write is rolled back here; if even that fails
+        the log marks itself broken and every further append raises
+        cleanly."""
         record = pack_record(blob, sender_uid)
         with self._lock:
             if self._closed:
@@ -338,12 +331,34 @@ class SegmentedLog:
         return index
 
     def commit_appended(self, target: int, trace=None) -> None:
-        """The commit phase: make the first ``target`` records durable
-        (group-committed under ``always``, a no-op under ``never``).  A
-        failed fsync leaves the record in the log; the caller decides
-        whether :meth:`rollback_appended` can take it back out."""
-        if self.fsync_policy == FSYNC_ALWAYS:
-            self._commit(target, trace)
+        """The commit phase: make the first ``target`` records durable.
+        Under ``always`` that is one flush plus fsync of the tail under
+        the append lock, skipped when an fsync already covers them; under
+        ``never`` it is a no-op.  A failed fsync leaves the record in the
+        log; the caller decides whether :meth:`rollback_appended` can take
+        it back out."""
+        if self.fsync_policy != FSYNC_ALWAYS:
+            return
+        timed = self._h_fsync is not None or trace is not None
+        started = perf_counter() if timed else 0.0
+        with self._lock:
+            if self._durable >= target:
+                return
+            if self._broken:
+                raise OSError("log failed a write and could not roll back; "
+                              "restart to recover")
+            if self._file is None or self._file.closed:
+                raise OSError("log tail is not open")
+            self._file.flush()
+            os.fsync(self._file.fileno())
+            self._fsyncs_issued += 1
+            self._durable = self._count
+        if timed:
+            elapsed = perf_counter() - started
+            if self._h_fsync is not None:
+                self._h_fsync.record(elapsed)
+            if trace is not None:
+                trace.stamp(STAGE_WAL_FSYNC, elapsed)
 
     def rollback_appended(self, index: int) -> bool:
         """Best-effort undo of record ``index`` after its commit phase
@@ -363,74 +378,11 @@ class SegmentedLog:
                 self._tail_records -= 1
             return True
 
-    # --------------------------------------------------------- group commit
-    def _commit(self, target: int, trace) -> None:
-        """Block until an fsync covers the first ``target`` records.
-
-        Exactly one thread holds the commit lock at a time; whoever gets
-        it while ``target`` is still uncovered becomes the batch leader
-        and fsyncs everything written so far.  Later appenders queueing on
-        the lock usually find their record already covered and return
-        without touching the disk — that wait *is* the group commit."""
-        histogram = self._h_fsync
-        timed = histogram is not None or trace is not None
-        started = perf_counter() if timed else 0.0
-        with self._commit_lock:
-            # Lock-acquisition wait = riding someone else's batch: that
-            # wait *is* the group commit, so it gets its own stage next
-            # to the whole-commit wal_fsync stamp below.
-            if timed:
-                acquired = perf_counter()
-                lock_wait = acquired - started
-                if self._h_group is not None:
-                    self._h_group.record(lock_wait)
-                if trace is not None:
-                    trace.stamp(STAGE_GROUP_COMMIT, lock_wait)
-            if self._durable < target:
-                self._fsync_batch_commit_locked()
-        if timed:
-            elapsed = perf_counter() - started
-            if histogram is not None:
-                histogram.record(elapsed)
-            if trace is not None:
-                trace.stamp(STAGE_WAL_FSYNC, elapsed)
-
-    def _fsync_batch_commit_locked(self) -> None:
-        """Leader path: flush the tail under the append lock, then fsync a
-        dup of its descriptor *outside* it so concurrent appends keep
-        buffering.  The dup keeps the open file description alive even if
-        a rotation swaps the tail mid-fsync (the rotated-out segment was
-        already fsynced by ``_rotate_locked``, so syncing it again is just
-        a no-op)."""
-        fd = -1
-        try:
-            with self._lock:
-                if self._broken:
-                    raise OSError("log failed a write and could not roll "
-                                  "back; restart to recover")
-                if self._file is None or self._file.closed:
-                    raise OSError("log tail is not open")
-                covered = self._count
-                self._file.flush()
-                fd = os.dup(self._file.fileno())
-            os.fsync(fd)
-            self._fsyncs_issued += 1
-        finally:
-            if fd >= 0:
-                os.close(fd)
-        if covered > self._durable:
-            self._durable = covered
-
     def set_metrics(self, metrics) -> None:
         """Record fsync waits into the registry's ``stage.wal_fsync``
-        histogram (and commit-leader waits into ``stage.group_commit``);
-        no-op overhead when the null registry is attached."""
-        if metrics.enabled:
-            self._h_fsync = metrics.histogram(f"stage.{STAGE_WAL_FSYNC}")
-            self._h_group = metrics.histogram(f"stage.{STAGE_GROUP_COMMIT}")
-        else:
-            self._h_fsync = None
-            self._h_group = None
+        histogram; no-op overhead when the null registry is attached."""
+        self._h_fsync = (metrics.histogram(f"stage.{STAGE_WAL_FSYNC}")
+                         if metrics.enabled else None)
 
     def _rollback(self, pos: int) -> None:
         """Undo a failed append: drop any buffered bytes and cut the tail
@@ -509,8 +461,8 @@ class SegmentedLog:
 
     @property
     def fsyncs_issued(self) -> int:
-        """Commit-phase fsyncs performed so far — compare against the
-        append count to see group-commit batching in action."""
+        """Commit-phase fsyncs performed so far: one per committed append
+        or batch under ``always``, none under ``never``."""
         return self._fsyncs_issued
 
     def segment_names(self) -> list[str]:

@@ -1,5 +1,7 @@
 """Communix client tests: incremental daily downloads (§III-B)."""
 
+import errno
+import os
 import random
 import time
 
@@ -203,6 +205,45 @@ class TestBackgroundDaemon:
             assert self._wait_for(lambda: len(repo) == 2)
         finally:
             client.stop()
+
+    def test_failed_page_store_keeps_polling(self, manual_clock, tmp_path,
+                                             monkeypatch, shared_factory):
+        """A page whose log fsync fails is reported, and the poll thread
+        lives on: the next due poll makes the page durable."""
+        server = CommunixServer(
+            authority=UserIdAuthority(rng=random.Random(9)), clock=manual_clock
+        )
+        upload(server, shared_factory, 3)
+        repo = LocalRepository(path=tmp_path / "repo")
+        client = CommunixClient(endpoint=InProcessEndpoint(server),
+                                repository=repo, clock=manual_clock)
+        failed = []
+        real_fsync = os.fsync
+
+        def fail_once(fd):
+            if not failed:
+                failed.append(fd)
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fail_once)
+        client.start()
+        try:
+            assert self._wait_for(lambda: len(client.reports) == 1)
+            report = client.reports[0]
+            assert report.failed and os.strerror(errno.EIO) in report.error
+            assert failed and client._thread.is_alive()
+            client.clock.advance(86_400.0)
+            assert self._wait_for(lambda: len(client.reports) == 2)
+            assert not client.reports[1].failed
+            assert client._thread.is_alive()
+        finally:
+            client.stop()
+        assert (len(repo), repo.server_index) == (3, 3)
+        repo.close()
+        reopened = LocalRepository(path=tmp_path / "repo")
+        assert (len(reopened), reopened.server_index) == (3, 3)
+        reopened.close()
 
     def test_start_idempotent_and_stop(self, deployment):
         _, _, _, client = deployment

@@ -12,6 +12,15 @@ from repro.server.__main__ import build_parser, config_from_args
 from repro.server.server import ServerConfig
 
 
+#: Modules (and their submodules) the server entry point must not load.
+SERVER_MUST_NOT_LOAD = (
+    "concurrent.futures",
+    "repro.dimmunix", "repro.core.history", "repro.core.agent",
+    "repro.core.plugin", "repro.core.repository", "repro.core.node",
+    "repro.client", "repro.loadgen", "repro.appmodel", "repro.sim",
+)
+
+
 @pytest.fixture
 def live_server_process(tmp_path):
     proc = subprocess.Popen(
@@ -95,7 +104,7 @@ class TestServerCli:
         assert completed.returncode != 0
         assert "tcp://" in completed.stderr
 
-    @pytest.mark.parametrize("flag", ["--host", "--port"])
+    @pytest.mark.parametrize("flag", ["--host", "--port", "--workers"])
     def test_removed_host_port_flags_exit_2(self, flag):
         completed = subprocess.run(
             [sys.executable, "-m", "repro.server", flag, "7199"],
@@ -120,6 +129,22 @@ class TestServerCli:
         )
         assert completed.returncode == 2
         assert "unrecognized arguments" in completed.stderr
+
+    def test_entry_point_loads_only_the_server(self):
+        """What ``python -m repro.server`` imports before it can listen:
+        no thread pool, and nothing of the client half."""
+        code = (
+            "import sys, repro.server.__main__\n"
+            f"for name in {SERVER_MUST_NOT_LOAD!r}:\n"
+            "    for module in sys.modules:\n"
+            "        if module == name or module.startswith(name + '.'):\n"
+            "            print(module)\n"
+        )
+        completed = subprocess.run([sys.executable, "-c", code],
+                                   capture_output=True, text=True,
+                                   timeout=30)
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.split() == []
 
     def test_unix_addr_server_and_client_url(self, tmp_path, shared_factory):
         """--addr unix:// end to end: server child binds a UNIX socket,

@@ -142,6 +142,11 @@ class TestEndToEnd:
             endpoint.close()
 
 
+#: Signatures per page in the stalled-reader test: ~1 KB each, so one
+#: page is ~4 MB.
+PAGE = 4096
+
+
 def _make_server(seed: int) -> CommunixServer:
     return CommunixServer(
         authority=UserIdAuthority(rng=random.Random(seed)),
@@ -250,11 +255,9 @@ class TestShutdown:
         endpoints = [SocketEndpoint(url) for _ in range(20)]
         try:
             for endpoint in endpoints:
-                endpoint.issue_token()  # forces the connection open
-            deadline = time.monotonic() + 5.0
-            while (transport.connection_count < 20
-                   and time.monotonic() < deadline):
-                time.sleep(0.01)
+                # A round trip: the loop registers a connection before it
+                # answers on it.
+                endpoint.issue_token()
             assert transport.connection_count == 20
             transport.stop()
             assert transport.connection_count == 0
@@ -313,12 +316,12 @@ class TestEventLoopConcurrency:
     def test_many_persistent_connections_without_thread_per_conn(
             self, shared_factory):
         """128 simultaneous persistent connections must not cost 128 server
-        threads — the event loop plus a bounded worker pool serves them."""
+        threads — the event loop alone serves them."""
         server = CommunixServer(
             authority=UserIdAuthority(rng=random.Random(7)),
             clock=ManualClock(start=1_000_000.0),
         )
-        transport = ServerTransport(server, workers=4)
+        transport = ServerTransport(server)
         transport.start()
         url = transport.bound_endpoints[0].url()
         threads_before = threading.active_count()
@@ -331,8 +334,8 @@ class TestEventLoopConcurrency:
             for endpoint in endpoints[::8]:
                 next_index, blobs, _ = endpoint.get_page(0, 4096)
                 assert next_index == len(server.database)
-            # Thread growth is the worker pool (<=4), not one per conn.
-            assert threading.active_count() - threads_before <= 8
+            # No thread per connection, and no thread per request.
+            assert threading.active_count() == threads_before
         finally:
             for endpoint in endpoints:
                 endpoint.close()
@@ -347,12 +350,15 @@ class TestEventLoopConcurrency:
         transport.start()
         url = transport.bound_endpoints[0].url()
         try:
+            from repro.server.protocol import read_frame, write_frame
+            from repro.util.encoding import canonical_json
+
             sock = dial(url, timeout=2.0)
             try:
-                deadline = time.monotonic() + 1.0
-                while (transport.connection_count == 0
-                       and time.monotonic() < deadline):
-                    time.sleep(0.01)
+                # A round trip: the loop registers a connection before it
+                # answers on it.
+                write_frame(sock, canonical_json({"op": "STATS"}))
+                assert read_frame(sock)
                 assert transport.connection_count == 1
                 sock.settimeout(5.0)
                 assert sock.recv(1) == b""  # server closed the idle conn
@@ -362,35 +368,51 @@ class TestEventLoopConcurrency:
         finally:
             transport.stop()
 
-    def test_stalled_reader_is_reaped(self, shared_factory):
+    def test_stalled_reader_is_reaped(self):
         """A peer that requests a response and then never reads it must
         not hold its connection (and buffered bytes) forever — write
         stalls count as idleness."""
+        from repro.loadgen.signatures import random_signature
+        from repro.server.protocol import write_frame
+        from repro.util.encoding import canonical_json
+
         server = CommunixServer(
             authority=UserIdAuthority(rng=random.Random(9)),
             clock=ManualClock(start=1_000_000.0),
         )
-        for _ in range(200):
-            sig = shared_factory.make_valid()
-            server.process_add(sig.to_bytes(), server.issue_user_token())
+        rng = random.Random(9)
+        for uid in range(1, PAGE + 1):
+            sig = random_signature(rng)
+            server.database.append(sig, sig.to_bytes(), uid)
         transport = ServerTransport(server, idle_timeout=0.5)
         transport.start()
         url = transport.bound_endpoints[0].url()
+
+        def backlog():
+            return server.metrics.snapshot()["gauges"][
+                "net.output_backlog_bytes"]
+
         try:
             sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            # Tiny receive buffer: the response cannot fit in kernel
-            # buffers, so the server's send stalls while we don't read.
+            # Tiny receive buffer, and ~4 MB pages: four responses cannot
+            # fit in the kernel's socket buffers (tcp_wmem tops out at
+            # 4 MB by default), so the server's send stalls while we do
+            # not read.
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
             sock.connect(parse_endpoint(url).sockaddr())
-            from repro.server.protocol import write_frame
-            from repro.util.encoding import canonical_json
-
-            write_frame(sock, canonical_json({"op": "GET", "from_index": 0}))
+            request = canonical_json(
+                {"op": "GET", "from_index": 0, "max_count": PAGE})
+            for _ in range(4):
+                write_frame(sock, request)
             deadline = time.monotonic() + 10.0
+            while backlog() == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert backlog() > 0  # the write stalled; this is no idle reap
             while (transport.connection_count > 0
                    and time.monotonic() < deadline):
                 time.sleep(0.05)
             assert transport.connection_count == 0
+            assert backlog() == 0
             sock.close()
         finally:
             transport.stop()
@@ -441,30 +463,3 @@ class TestPooledReceive:
         finally:
             endpoint.close()
             transport.stop()
-
-
-class TestWakeup:
-    def test_wake_during_drain_is_not_lost(self):
-        """Regression for the lost wakeup: a worker's ``_wake()`` landing
-        while the loop is inside ``_drain_wakeup()`` has its byte swallowed
-        by the drain, so the drain must leave the flag *disarmed* — else
-        every later completion skips its send and waits out the 0.2 s
-        select timeout."""
-        transport = ServerTransport(_make_server(41))  # never started
-        sent = []
-
-        class SendEnd:
-            def send(self, data):
-                sent.append(data)
-
-        class RecvEnd:
-            def recv(self, size):
-                transport._wake()  # races the drain; its byte is consumed
-                raise BlockingIOError
-
-        transport._wakeup_send = SendEnd()
-        transport._wakeup_recv = RecvEnd()
-        transport._drain_wakeup()
-        assert len(sent) == 1
-        transport._wake()
-        assert len(sent) == 2  # the next completion still wakes the loop

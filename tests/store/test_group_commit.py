@@ -1,16 +1,16 @@
-"""WAL group commit: one fsync amortized over a batch of appends.
+"""The WAL's split append API: buffer records, commit them with one fsync.
 
-The ``always`` policy's contract is unchanged — no append returns before
-an fsync covers its record — but concurrent appends share flushes instead
-of issuing one each.  These tests pin the split write/commit API the
-store uses (``append`` is exactly that API: write phase, commit phase,
-rollback on failure), the batching itself, and the failure contract (a
-failed group fsync acks nobody and rolls back when the batch was a single
-record).
+The ``always`` policy's contract — no append returns before an fsync
+covers its record — rests on ``commit_appended``, one flush plus fsync of
+everything buffered so far.  A caller storing a batch (the client
+repository, one page at a time) buffers each record and commits once.
+These tests pin that API (``append`` is exactly write phase, commit
+phase, rollback on failure), the skipped fsync when a commit is already
+covered, and the failure contract (a failed fsync acks nothing and rolls
+the record back).
 """
 
 import os
-import threading
 
 import pytest
 
@@ -37,7 +37,7 @@ class TestSplitApi:
         index = log.append_unflushed(b"x", 1)
         log.commit_appended(index + 1)
         assert log.fsyncs_issued == 1
-        log.commit_appended(index + 1)  # already durable: follower path
+        log.commit_appended(index + 1)  # already durable: no fsync
         assert log.fsyncs_issued == 1
         log.close()
 
@@ -53,69 +53,8 @@ class TestSplitApi:
         log = SegmentedLog(str(tmp_path), fsync="always")
         log.append(b"x", 1)
         assert log.durable_count == 1
-        assert log.fsyncs_issued == 1  # the group-commit fsync, no inline one
+        assert log.fsyncs_issued == 1  # the commit's fsync, no other
         log.close()
-
-
-class TestConcurrentBatching:
-    def test_concurrent_appends_share_fsyncs(self, tmp_path, monkeypatch):
-        """One leader is held inside its fsync until every other appender
-        has staged its record; the next leader's single fsync must then
-        cover all of them.  No timing: the batch is exactly [1, k-1]."""
-        log = SegmentedLog(str(tmp_path), fsync="always")
-        followers = 7
-        total = followers + 1
-        leader_in_fsync = threading.Event()
-        staged = threading.Semaphore(0)
-        records_at_fsync = []
-        real_fsync = os.fsync
-        write_phase = log.append_unflushed
-
-        def counting_write_phase(blob, sender_uid):
-            result = write_phase(blob, sender_uid)
-            staged.release()
-            return result
-
-        def gated_fsync(fd):
-            records_at_fsync.append(log.record_count)
-            if len(records_at_fsync) == 1:
-                leader_in_fsync.set()
-                for _ in range(total):  # the leader's own stage + followers'
-                    assert staged.acquire(timeout=30.0)
-            real_fsync(fd)
-
-        monkeypatch.setattr(log, "append_unflushed", counting_write_phase)
-        monkeypatch.setattr(os, "fsync", gated_fsync)
-        errors = []
-
-        def run(uid):
-            try:
-                log.append(f"t{uid}".encode(), uid)
-            except Exception as exc:  # pragma: no cover - failure detail
-                errors.append(exc)
-
-        workers = [threading.Thread(target=run, args=(t,))
-                   for t in range(total)]
-        workers[0].start()
-        assert leader_in_fsync.wait(timeout=30.0)
-        for worker in workers[1:]:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=30.0)
-            assert not worker.is_alive()
-        assert not errors
-        assert log.record_count == total
-        assert log.durable_count == total  # every append returned durable
-        # The held leader covered only itself; one more fsync covered the
-        # other seven, and nobody else touched the disk.
-        assert records_at_fsync == [1, total]
-        assert log.fsyncs_issued == 2
-        log.close()
-        monkeypatch.undo()
-        reopened = SegmentedLog(str(tmp_path), fsync="never")
-        assert reopened.record_count == total
-        assert len(reopened.recovered_records()) == total
-        reopened.close()
 
 
 class TestCommitFailure:
