@@ -89,9 +89,15 @@ class CommunixClient:
                 except ValidationError:
                     # A hostile or buggy server cannot corrupt the repository.
                     report.malformed += 1
-            report.stored += self.repository.append_from_server(
-                signatures, next_server_index=next_index
-            )
+            try:
+                report.stored += self.repository.append_from_server(
+                    signatures, next_server_index=next_index
+                )
+            except OSError as exc:
+                # Full disk, failed fsync: reported with what this poll
+                # already stored, then raised to the caller.
+                self._failed(report, "storing a page failed", exc)
+                raise
             if not more or next_index <= cursor:  # no forward progress
                 break
             cursor = next_index
@@ -135,14 +141,12 @@ class CommunixClient:
         while not self._stop.wait(0.02):
             now = self.clock.now()
             if now >= self._next_due:
-                start = self.repository.server_index
                 try:
                     self.poll_once()
-                except OSError as exc:
-                    # A full disk or a failed fsync ends this poll, not
-                    # the poller: the next one resumes from the last
-                    # stored page.
-                    self._failed(DownloadReport(requested_from=start),
-                                 "storing a page failed", exc)
+                except OSError:
+                    # Already reported: a failed page store ends this
+                    # poll, not the poller, and the next one resumes
+                    # from the last stored page.
+                    pass
                 finally:
                     self._next_due = now + self.period

@@ -153,8 +153,8 @@ class FastBackend(CryptoBackend):
     single batched ECB decrypt plus one XOR over the whole message, and
     encryption chains block-per-block through the same persistent
     context.  Contexts are thread-local because OpenSSL ``update`` is not
-    safe under concurrent calls (in-process clients and the server may
-    decode tokens from several threads at once).
+    safe under concurrent calls (the server decodes tokens from several
+    worker threads at once).
     """
 
     name = "fast"

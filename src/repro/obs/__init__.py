@@ -8,7 +8,7 @@ every stage of its request pipeline (see ``docs/architecture.md`` §9):
   records into it too, so server-side and client-side histograms are
   directly comparable and share a wire form), and
   :class:`StageHistogram`, a thread-sharded recorder safe to hammer from
-  several threads at once;
+  the worker pool and the event loop at once;
 * :mod:`repro.obs.registry` — :class:`MetricsRegistry`, the process-wide
   home of named counters, gauges, and stage histograms, plus
   :data:`NULL_REGISTRY`, the compiled-out no-op twin the overhead

@@ -1,7 +1,7 @@
 """Process-wide registry of named counters, gauges, and stage histograms.
 
 The registry is the single rendezvous point between the recording side
-(transport loop, validator, WAL) and the exporting side
+(transport loop, worker pool, validator, WAL) and the exporting side
 (STATS v2, the Prometheus admin endpoint, the JSONL metrics log).  All
 instruments are get-or-create by dotted name — ``stage.validate``,
 ``loop.select_wait``, ``net.slow_requests`` — and creation is the only

@@ -39,13 +39,13 @@ __all__ = [
     "format_trace_id",
 ]
 
-STAGE_QUEUE_WAIT = "queue_wait"      # frame parsed -> handler starts
+STAGE_QUEUE_WAIT = "queue_wait"      # frame parsed -> worker dequeues it
 STAGE_VALIDATE = "validate"          # token decode + quota + adjacency
 STAGE_CRYPTO = "crypto"              # authority.decode on token-cache miss
 STAGE_DB_APPEND = "db_append"        # database append incl. durable store
 STAGE_DB_READ = "db_read"            # wire-page composition for GET
 STAGE_WAL_FSYNC = "wal_fsync"        # flush + fsync wait inside the WAL
-STAGE_HANDLER = "handler"            # whole dispatch on the loop
+STAGE_HANDLER = "handler"            # whole dispatch on the worker
 STAGE_FLUSH = "flush"                # response queued -> last byte written
 
 ALL_STAGES = (

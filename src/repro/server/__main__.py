@@ -15,8 +15,8 @@ simultaneously (TCP and UNIX-domain clients share one database); the
 default is ``tcp://127.0.0.1:7199``.  With ``--data-dir`` the signature
 database is durable: accepted signatures go to a segmented write-ahead
 log (fsync policy per ``--fsync``), restart replays it, and ``SIGTERM``/
-``SIGINT`` trigger a graceful drain — queued responses are flushed, the
-log is flushed and sealed with a final checkpoint, UNIX socket files are
+``SIGINT`` trigger a graceful drain — in-flight requests finish, the log
+is flushed and sealed with a final checkpoint, UNIX socket files are
 unlinked — instead of the process dying mid-write.  The server prints its
 bound address(es) and serves until interrupted.  Clients connect with
 :class:`repro.client.SocketEndpoint` or via ``python -m repro.client``.
@@ -67,6 +67,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--backlog", type=int, default=512,
         help="listen backlog (raise for large client ramps)",
+    )
+    parser.add_argument(
+        "--workers", type=int, default=8,
+        help="request-processing worker threads",
     )
     parser.add_argument(
         "--data-dir", metavar="DIR", default=None,
@@ -184,17 +188,17 @@ def main(argv: list[str] | None = None) -> int:
         )
     transport = ServerTransport(
         server, endpoints=endpoints,
-        accept_backlog=args.backlog,
+        accept_backlog=args.backlog, workers=args.workers,
         idle_timeout=args.idle_timeout,
         admin_endpoints=admin_endpoints,
     )
     # SIGTERM/SIGINT request a *graceful* stop: the handler only sets the
-    # event, and the main thread then runs the full drain — queued
-    # responses are flushed, the store is flushed and sealed (final
-    # checkpoint), listeners close and UNIX socket files are unlinked — so
-    # a signaled server never dies mid-write.  Installed before the
-    # listeners open, so a signal sent the instant the readiness line
-    # appears is drained too, not fatal.
+    # event, and the main thread then runs the full drain — in-flight
+    # requests finish, the store is flushed and sealed (final checkpoint),
+    # listeners close and UNIX socket files are unlinked — so a signaled
+    # server never dies mid-write.  Installed before the listeners open,
+    # so a signal sent the instant the readiness line appears is drained
+    # too, not fatal.
     stop = threading.Event()
     signal.signal(signal.SIGINT, lambda *_: stop.set())
     signal.signal(signal.SIGTERM, lambda *_: stop.set())

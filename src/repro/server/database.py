@@ -39,8 +39,9 @@ without, is one critical section: dedup, the store's durable append (the
 log write and its fsync under ``always``), then the in-memory entry and
 its publication — so an acked ADD survives ``kill -9``, and no entry is
 visible, or found by a duplicate, before its record is durable.  The
-disk write happens on whatever thread calls :meth:`append`: in the
-server, the transport's event loop.
+disk write happens on whatever thread calls :meth:`append` (the server's
+worker pool), never on the transport's event loop; concurrent ADDs wait
+for each other's fsync, while readers never take the append lock.
 """
 
 from __future__ import annotations

@@ -140,7 +140,7 @@ def decode_get_args(request: dict[str, Any]) -> tuple[int, int]:
     Anything that is not a non-negative JSON integer — floats, strings,
     booleans, negatives — raises :class:`ProtocolError`, so a malformed
     request becomes a clean protocol-level error frame instead of an
-    exception inside the server's handler.  ``max_count`` is required:
+    exception inside the server's worker pool.  ``max_count`` is required:
     every GET is one bounded page.
     """
     from_index = _checked_int(request.get("from_index", 0), "from_index")

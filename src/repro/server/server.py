@@ -328,7 +328,7 @@ class CommunixServer:
     def _checked_index(from_index) -> int:
         """Reject non-integral ``from_index`` before it reaches the
         database (a float or string from a caller must surface as a clean
-        protocol error, not a ``TypeError`` inside the handler).
+        protocol error, not a ``TypeError`` inside the worker pool).
         Negative indices are tolerated here and clamped by the database;
         the wire layer (``decode_get_args``) is stricter."""
         try:

@@ -1,34 +1,27 @@
 """Event-driven transport for the Communix server (TCP and UNIX).
 
-One ``selectors``-based event-loop thread owns every socket and serves
-every request: it accepts, reads, frames, runs the handler, and writes
-without a thread per connection, so the server sustains thousands of
-simultaneous persistent connections (the paper's Fig. 2/Fig. 3 regime).
-A request runs to completion where its frame was read: decode, token
-check, validation, database access — on a durable server the ADD's fsync
-too — then its response is queued on the connection.  A request never
-leaves the loop thread, so one loop iteration answers it.
+One ``selectors``-based event-loop thread owns every socket: it accepts,
+reads, frames, and writes without ever blocking, so the server sustains
+thousands of simultaneous persistent connections without spawning one
+thread per connection (the paper's Fig. 2/Fig. 3 regime).  Request
+*processing* — token decryption, validation, database access — runs on a
+small worker pool so a slow ADD never stalls the loop; completed responses
+are handed back to the loop over a self-pipe.
 
 Per-connection guarantees:
 
-* requests on one connection are answered in order;
-* one connection gets at most ``_MAX_PENDING`` frames served per loop
-  iteration; frames left over are served on the next iteration, which
-  does not wait in ``select``;
+* requests on one connection are answered in order (one in flight at a
+  time; further pipelined frames queue on the connection);
 * a connection idle longer than ``idle_timeout`` is closed;
 * writes are buffered with a high/low watermark — a connection that cannot
-  drain its responses stops being read, and served, until it catches up.
+  drain its responses stops being read until it catches up.
 
-The price of running to completion: a slow handler (in practice a slow
-fsync) stalls every connection for as long as it runs; ``loop.lag`` and
-``loop.stalls`` show it.
-
-``stop()`` drains gracefully: queued responses are flushed (bounded by
-``drain_timeout``), the server's signature store (when configured) is
-fsynced so every acked ADD is durable, then every registered connection,
-the listeners, the wakeup socketpair (whose one byte is how ``stop()``
-interrupts ``select``), and the selector are closed — no leaked file
-descriptors, and UNIX socket files are unlinked.
+``stop()`` drains gracefully: in-flight requests finish, their responses
+are flushed (bounded by ``drain_timeout``), the server's signature store
+(when configured) is fsynced so every acked ADD is durable, then every
+registered connection, the listeners, the wakeup pipe, and the selector
+are closed — no leaked file descriptors, and UNIX socket files are
+unlinked.
 
 The syscall layer is batched (``tests/net/test_bufpool.py`` and
 ``tests/server/test_transport.py``'s ``allocated <= 2`` pin the reads):
@@ -37,20 +30,22 @@ The syscall layer is batched (``tests/net/test_bufpool.py`` and
   buffer — zero allocation per read event — and complete frames are
   parsed straight out of the pooled buffer, touching ``conn.inbuf`` only
   for the partial-frame remainder;
-* responses served in the same loop iteration are coalesced: each
-  connection gets **one** vectored flush per iteration instead of one
-  per response.
+* responses completing in the same loop iteration are coalesced: each
+  writable connection gets **one** vectored flush per iteration instead
+  of one per completed request;
+* workers post at most one wakeup byte per loop iteration (an armed
+  flag), instead of one ``send`` per completion.
 
 The transport is also the home of the server's observability plane (see
 :mod:`repro.obs` and ``docs/architecture.md`` §9): when metrics are on it
 stamps every request through per-stage histograms (queue wait, handler,
 response flush — validate/crypto/db/WAL stages are stamped deeper in the
 stack), probes its own loop health (select wait vs. work time per
-iteration, backpressure pauses, buffer-pool occupancy), logs any request
-slower than ``--slow-request-ms`` with a stage breakdown, and serves a
-plaintext-HTTP admin plane (``GET /metrics`` in Prometheus text format,
-``/stats`` as STATS-v2 JSON, ``/healthz``) on dedicated
-``admin_endpoints`` from this same event loop.
+iteration, worker queue depth, backpressure pauses, buffer-pool
+occupancy), logs any request slower than ``--slow-request-ms`` with a
+stage breakdown, and serves a plaintext-HTTP admin plane (``GET
+/metrics`` in Prometheus text format, ``/stats`` as STATS-v2 JSON,
+``/healthz``) on dedicated ``admin_endpoints`` from this same event loop.
 
 Addressing goes through :mod:`repro.net`: the transport listens on one or
 more endpoints (``tcp://host:port`` and/or ``unix:///path``)
@@ -71,6 +66,7 @@ import socket
 import struct
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 try:
     import resource
@@ -116,10 +112,9 @@ _SEND_CHUNK = 1024 * 1024
 _HIGH_WATERMARK = 8 * 1024 * 1024
 #: ...and resume once they drain below this.
 _LOW_WATERMARK = 1 * 1024 * 1024
-#: Frames served per connection per loop iteration, and the queue of
-#: parsed-but-unserved frames past which a connection stops being read;
-#: the thread-per-connection model had this flow control for free — one
-#: frame read per frame served.
+#: Stop reading a connection with this many parsed-but-unserved requests
+#: queued (one is in flight at a time); the thread-per-connection model
+#: had this flow control for free — one frame read per frame served.
 _MAX_PENDING = 32
 
 _LISTENER = "listener"
@@ -230,9 +225,13 @@ class _OutputQueue:
 
 
 class _Connection:
-    """Loop-thread-owned state for one client socket."""
+    """Loop-thread-owned state for one client socket.
 
-    __slots__ = ("sock", "fd", "peer", "inbuf", "out", "pending",
+    Only the event loop mutates a connection; workers see just the payload
+    bytes and post results back through the completion queue.
+    """
+
+    __slots__ = ("sock", "fd", "peer", "inbuf", "out", "pending", "busy",
                  "paused", "events", "last_activity", "admin",
                  "close_after_flush")
 
@@ -249,6 +248,7 @@ class _Connection:
         self.pending: collections.deque[tuple[bytes, float]] = (
             collections.deque()
         )
+        self.busy = False  # one request in flight on the worker pool
         self.paused = False  # read interest dropped (backpressure)
         self.events = selectors.EVENT_READ
         self.last_activity = now
@@ -258,7 +258,7 @@ class _Connection:
 
 class ServerTransport:
     def __init__(self, server: CommunixServer, endpoints=None,
-                 accept_backlog: int = 512,
+                 accept_backlog: int = 512, workers: int = 8,
                  idle_timeout: float = 60.0, drain_timeout: float = 2.0,
                  admin_endpoints=None, slow_request_ms: float | None = None):
         """``endpoints`` is a list of endpoint URLs / :class:`Endpoint`
@@ -279,6 +279,7 @@ class ServerTransport:
             slow_request_ms = getattr(server.config, "slow_request_ms", 0.0)
         self._slow_threshold = max(0.0, slow_request_ms) / 1000.0
         self._backlog = accept_backlog
+        self._workers = max(1, workers)
         self._idle_timeout = idle_timeout
         self._drain_timeout = drain_timeout
         self._listeners: dict[int, tuple[socket.socket, Endpoint]] = {}
@@ -287,18 +288,22 @@ class ServerTransport:
         self._bound_admin: list[Endpoint] = []
         self._selector: selectors.BaseSelector | None = None
         self._loop_thread: threading.Thread | None = None
+        self._executor: ThreadPoolExecutor | None = None
         self._wakeup_recv: socket.socket | None = None
         self._wakeup_send: socket.socket | None = None
         self._stop = threading.Event()
         self._conns: dict[int, _Connection] = {}
-        #: Connections with parsed frames to serve this iteration; while
-        #: it is non-empty the loop does not wait in select().
-        self._ready: dict[int, _Connection] = {}
+        self._completions: collections.deque[
+            tuple[_Connection, list[bytes], str | None]
+        ] = collections.deque()
         self._last_sweep = 0.0
         self._accept_paused_until = 0.0
         #: recv_into targets; the loop thread borrows per read event, so
         #: the pool's steady state is a single buffer.
         self._recv_pool = BufferPool(_RECV_CHUNK)
+        #: Wakeup batching: workers send one byte per *loop iteration*,
+        #: not per completion.  True = a wakeup byte is already in flight.
+        self._wakeup_armed = False
         # Observability: instruments pre-resolved off the server's
         # registry; _obs_on gates every perf_counter() read so the
         # --no-metrics server pays nothing.
@@ -320,6 +325,10 @@ class ServerTransport:
         self._h_timer_drift = metrics.histogram("loop.timer_drift")
         self._c_stalls = metrics.counter("loop.stalls")
         self._c_iterations = metrics.counter("loop.iterations")
+        #: workers.queue_time: most recent queue-wait observed by any
+        #: worker — a cheap "is the pool backed up right now" gauge next
+        #: to the full stage.queue_wait histogram.
+        self._g_queue_time = metrics.gauge("workers.queue_time")
         #: The server's ring of slowest completed traces (``/traces``).
         self._traces = getattr(server, "traces", None)
         self._c_accepts = metrics.counter("net.accepts")
@@ -362,6 +371,9 @@ class ServerTransport:
         selector.register(self._wakeup_recv, selectors.EVENT_READ, _WAKEUP)
         self._selector = selector
 
+        self._executor = ThreadPoolExecutor(
+            max_workers=self._workers, thread_name_prefix="communix-worker"
+        )
         self._register_gauges()
         self._stop.clear()
         self._accept_paused_until = 0.0
@@ -369,11 +381,11 @@ class ServerTransport:
             target=self._run_loop, name="communix-server-loop", daemon=True
         )
         self._loop_thread.start()
-        log.info("server listening on %s (event loop)",
-                 ", ".join(ep.url() for ep in self._bound))
+        log.info("server listening on %s (event loop, %d workers)",
+                 ", ".join(ep.url() for ep in self._bound), self._workers)
 
     def stop(self) -> None:
-        """Flush queued responses, close every connection and FD."""
+        """Drain in-flight requests, close every connection and FD."""
         if self._loop_thread is None:
             return
         self._stop.set()
@@ -383,6 +395,9 @@ class ServerTransport:
             log.error("event loop failed to exit; forcing FD cleanup")
             self._force_close_all()
         self._loop_thread = None
+        if self._executor is not None:
+            self._executor.shutdown(wait=True, cancel_futures=True)
+            self._executor = None
         self._listeners = {}
         self._admin_fds = set()
         self._selector = None
@@ -391,7 +406,9 @@ class ServerTransport:
 
     def _register_gauges(self) -> None:
         """Event-loop health probes, read lazily at snapshot/scrape time
-        (never on the hot path)."""
+        (never on the hot path).  The queue-depth probe reaches into the
+        executor's private work queue — guarded, since it is a CPython
+        implementation detail."""
         metrics = self._metrics
         metrics.register_gauge("net.connections",
                                lambda: len(self._conns))
@@ -399,10 +416,13 @@ class ServerTransport:
             "net.paused_connections",
             lambda: sum(1 for c in self._conns.values() if c.paused),
         )
+        metrics.register_gauge("net.completions_pending",
+                               lambda: len(self._completions))
         metrics.register_gauge(
             "net.output_backlog_bytes",
             lambda: sum(c.out.size for c in self._conns.values()),
         )
+        metrics.register_gauge("workers.queue_depth", self._worker_queue_depth)
         metrics.register_gauge("bufpool.allocated",
                                lambda: self._recv_pool.allocated)
         metrics.register_gauge("bufpool.free",
@@ -417,6 +437,11 @@ class ServerTransport:
                 "proc.fd_limit",
                 lambda: resource.getrlimit(resource.RLIMIT_NOFILE)[0],
             )
+
+    def _worker_queue_depth(self) -> int:
+        executor = self._executor
+        queue = getattr(executor, "_work_queue", None) if executor else None
+        return queue.qsize() if queue is not None else 0
 
     @property
     def bound_endpoints(self) -> list[Endpoint]:
@@ -450,11 +475,21 @@ class ServerTransport:
         return fds
 
     def _wake(self) -> None:
-        """Interrupt the loop's select() so it sees ``_stop``."""
+        # One byte per loop iteration: once a wakeup is in flight, further
+        # completions ride it instead of each paying a send() syscall.
+        # The flag is racy by design — the worst interleaving sends one
+        # redundant byte, and the loop drains the completion deque on
+        # every iteration regardless.
+        if self._wakeup_armed:
+            return
+        send = self._wakeup_send
+        if send is None:
+            return
+        self._wakeup_armed = True
         try:
-            self._wakeup_send.send(b"\x00")
-        except OSError:
-            pass  # already closed
+            send.send(b"\x00")
+        except (BlockingIOError, OSError):
+            pass  # pipe full (wakeup already pending) or already closed
 
     # ---------------------------------------------------------------- loop
     def _run_loop(self) -> None:
@@ -467,7 +502,7 @@ class ServerTransport:
         next_tick = (time.monotonic() + _HEALTH_TICK_S) if obs_on else 0.0
         try:
             while not self._stop.is_set():
-                timeout = 0.0 if self._ready else 0.2
+                timeout = 0.2
                 if self._accept_paused_until:
                     timeout = min(timeout, _ACCEPT_COOLDOWN)
                 if obs_on:
@@ -499,10 +534,8 @@ class ServerTransport:
                         if (mask & selectors.EVENT_READ
                                 and self._conns.get(conn.fd) is conn):
                             self._on_readable(conn)
-                        if conn.pending:  # a closed connection has none
-                            self._ready[conn.fd] = conn
-                self._serve_ready()
                 self._maybe_resume_accept()
+                self._drain_completions()
                 self._sweep_idle()
                 if obs_on:
                     self._h_select_wait.record(work_started - before_select)
@@ -580,8 +613,10 @@ class ServerTransport:
         conn.last_activity = time.monotonic()
         ok = self._ingest(conn, memoryview(buf)[:n])
         pool.release(buf)
-        if ok:
-            self._update_events(conn)
+        if not ok:
+            return
+        self._pump(conn)
+        self._update_events(conn)
 
     def _ingest(self, conn: _Connection, view: memoryview) -> bool:
         """Absorb one read's bytes; False if the connection was closed
@@ -637,34 +672,18 @@ class ServerTransport:
             conn.pending.append((bytes(buf[4:4 + length]), enqueued_at))
             del buf[:4 + length]
 
-    # ------------------------------------------------------------- serving
-    def _serve_ready(self) -> None:
-        """Answer up to ``_MAX_PENDING`` queued frames per ready
-        connection, in arrival order, then give each one vectored flush.
+    # ------------------------------------------------------------ dispatch
+    def _pump(self, conn: _Connection) -> None:
+        """Submit the connection's next queued request (one in flight)."""
+        if conn.busy or not conn.pending:
+            return
+        conn.busy = True
+        payload, enqueued_at = conn.pending.popleft()
+        self._executor.submit(self._work, conn, payload, enqueued_at)
 
-        A connection with frames left over stays ready, so the next
-        iteration serves it without waiting in select().  One whose
-        unsent output is past the high watermark is not served further;
-        its next write event, once the peer reads, makes it ready again.
-        """
-        ready, self._ready = self._ready, {}
-        for fd, conn in ready.items():
-            if self._conns.get(fd) is not conn:
-                continue  # closed since it became ready
-            pending = conn.pending
-            for _ in range(min(len(pending), _MAX_PENDING)):
-                if conn.out.size >= _HIGH_WATERMARK:
-                    break
-                payload, enqueued_at = pending.popleft()
-                self._serve(conn, payload, enqueued_at)
-            self._flush(conn)
-            if (pending and self._conns.get(fd) is conn
-                    and conn.out.size < _HIGH_WATERMARK):
-                self._ready[fd] = conn
-
-    def _serve(self, conn: _Connection, payload: bytes,
-               enqueued_at: float) -> None:
-        """Run one request to completion and queue its framed response.
+    def _work(self, conn: _Connection, payload: bytes,
+              enqueued_at: float = 0.0) -> None:
+        """Worker-pool entry: compute a response, post it to the loop.
 
         A response is a parts list — ``[frame header, part, ...]`` — so
         large GET payloads stay as references to the database's cached
@@ -681,6 +700,7 @@ class ServerTransport:
         if enqueued_at and (obs_on or slow_on):
             queue_wait = started - enqueued_at
             self._h_queue_wait.record(queue_wait, exemplar)
+            self._g_queue_time.set(queue_wait)
             if trace is not None:
                 trace.stamp(STAGE_QUEUE_WAIT, queue_wait)
         try:
@@ -716,17 +736,58 @@ class ServerTransport:
             )]
             length = len(response[0])
         response.insert(0, struct.pack(">I", length))
-        conn.out.push(response)
-        if obs_on:
-            # Flush stage starts the moment the response is queued; it
-            # completes when the socket write covers the mark.
-            conn.out.mark(perf_counter(), exemplar)
+        self._completions.append((conn, response, exemplar))
+        self._wake()
 
     def _drain_wakeup(self) -> None:
         try:
-            self._wakeup_recv.recv(64)
+            while self._wakeup_recv.recv(4096):
+                pass
+        except (BlockingIOError, InterruptedError):
+            pass
         except OSError:
             pass
+        # Disarm only after the drain: a byte a worker sends while the
+        # flag is already clear would be swallowed by the recv above with
+        # the flag left set, and every later completion would then wait
+        # out the select timeout.  A completion posted while the flag is
+        # still set is picked up by this iteration's _drain_completions.
+        self._wakeup_armed = False
+
+    def _drain_completions(self) -> None:
+        """Move completed responses onto their connections, then flush.
+
+        Enqueue-everything-first, flush-once-per-connection: when several
+        pipelined responses for one connection complete in the same loop
+        iteration, they leave in a single vectored ``sendmsg`` instead of
+        paying one flush per response.
+        """
+        completions = self._completions
+        dirty: dict[int, _Connection] = {}
+        now = time.monotonic()
+        obs_on = self._obs_on
+        while completions:
+            try:
+                conn, response_parts, exemplar = completions.popleft()
+            except IndexError:  # pragma: no cover - single consumer
+                break
+            conn.busy = False
+            if self._conns.get(conn.fd) is not conn:
+                continue  # connection closed while the request ran
+            conn.out.push(response_parts)
+            if obs_on:
+                # Flush stage starts the moment the response is queued;
+                # it completes when the socket write covers the mark.
+                conn.out.mark(perf_counter(), exemplar)
+            conn.last_activity = now
+            dirty[conn.fd] = conn
+        for fd, conn in dirty.items():
+            if self._conns.get(fd) is not conn:
+                continue  # closed by an earlier flush in this batch
+            self._flush(conn)
+            if self._conns.get(fd) is conn:
+                self._pump(conn)
+                self._update_events(conn)
 
     # --------------------------------------------------------------- write
     def _flush(self, conn: _Connection) -> None:
@@ -809,6 +870,8 @@ class ServerTransport:
             return
         self._last_sweep = now
         for conn in list(self._conns.values()):
+            if conn.busy:
+                continue  # a request is being processed on its behalf
             # last_activity advances on reads AND on write progress, so
             # this also reaps a peer that requested a big response and
             # then stopped reading it — the old transport's 30 s socket
@@ -818,8 +881,8 @@ class ServerTransport:
                 self._close_conn(conn)
 
     def _drain_on_stop(self) -> None:
-        """Graceful drain: stop accepting, flush every queued response,
-        then close everything."""
+        """Graceful drain: stop accepting, finish in-flight requests,
+        flush their responses, then close everything."""
         for sock, endpoint in self._listeners.values():
             try:
                 self._selector.unregister(sock)
@@ -829,25 +892,20 @@ class ServerTransport:
             cleanup_listener(endpoint)
         deadline = time.monotonic() + self._drain_timeout
         while time.monotonic() < deadline:
-            # Frames already read are answered too, fairness leftovers
-            # included.
-            self._serve_ready()
-            if not self._ready and not any(
-                    c.out.size for c in self._conns.values()):
+            self._drain_completions()
+            live = [c for c in self._conns.values()
+                    if c.busy or c.out.size]
+            if not live:
                 break
-            timeout = 0.0 if self._ready else 0.05
-            for key, mask in self._selector.select(timeout=timeout):
+            for key, mask in self._selector.select(timeout=0.05):
                 if key.data is _WAKEUP:
                     self._drain_wakeup()
                 elif isinstance(key.data, _Connection):
-                    conn = key.data
                     if mask & selectors.EVENT_WRITE:
-                        self._flush(conn)
-                    if conn.pending:  # a closed connection has none
-                        self._ready[conn.fd] = conn
-        # Every ADD the loop served has been appended: push the write-ahead
-        # log to disk so a stop under the never policy loses nothing that
-        # was acked.
+                        self._flush(key.data)
+        # Every in-flight ADD has now been processed (or abandoned with its
+        # connection): push the write-ahead log to disk so a stop under the
+        # interval/never fsync policies loses nothing that was acked.
         try:
             self._server.flush_store()
         except Exception:  # pragma: no cover - disk failure at shutdown
@@ -907,8 +965,9 @@ class ServerTransport:
     # ---------------------------------------------------------- admin plane
     def _ingest_admin(self, conn: _Connection, view: memoryview) -> bool:
         """Absorb bytes from an admin-plane connection and answer complete
-        HTTP requests.  Rendering a snapshot is O(instruments), and
-        scrapes arrive once per interval, not per request."""
+        HTTP requests.  Runs on the loop thread: rendering a snapshot is
+        O(instruments), and scrapes arrive once per interval, not per
+        request — not worth a worker-pool round trip."""
         conn.inbuf += view
         if len(conn.inbuf) > _ADMIN_MAX_REQUEST:
             log.warning("dropping admin connection %s: oversized request",

@@ -16,8 +16,8 @@ the **fsync policy**, one of :data:`FSYNC_POLICIES`:
 
 * ``always`` — the commit is one flush plus one fsync under the append
   lock, so no append returns before an fsync covers its record and an
-  acked ADD survives ``kill -9``.  The server's single writer — its event
-  loop — pays one fsync per accepted ADD;
+  acked ADD survives ``kill -9``.  Concurrent appends serialize on that
+  lock, fsync included, so each accepted ADD pays one fsync of its own;
 * ``never`` — the commit is a no-op and the OS decides; a graceful drain,
   a checkpoint and a clean :meth:`close` still flush and fsync.
 

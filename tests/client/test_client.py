@@ -232,6 +232,8 @@ class TestBackgroundDaemon:
             assert self._wait_for(lambda: len(client.reports) == 1)
             report = client.reports[0]
             assert report.failed and os.strerror(errno.EIO) in report.error
+            # The page was received, and its failed store is not counted.
+            assert (report.pages, report.received, report.stored) == (1, 3, 0)
             assert failed and client._thread.is_alive()
             client.clock.advance(86_400.0)
             assert self._wait_for(lambda: len(client.reports) == 2)

@@ -14,7 +14,6 @@ from repro.server.server import ServerConfig
 
 #: Modules (and their submodules) the server entry point must not load.
 SERVER_MUST_NOT_LOAD = (
-    "concurrent.futures",
     "repro.dimmunix", "repro.core.history", "repro.core.agent",
     "repro.core.plugin", "repro.core.repository", "repro.core.node",
     "repro.client", "repro.loadgen", "repro.appmodel", "repro.sim",
@@ -104,7 +103,7 @@ class TestServerCli:
         assert completed.returncode != 0
         assert "tcp://" in completed.stderr
 
-    @pytest.mark.parametrize("flag", ["--host", "--port", "--workers"])
+    @pytest.mark.parametrize("flag", ["--host", "--port"])
     def test_removed_host_port_flags_exit_2(self, flag):
         completed = subprocess.run(
             [sys.executable, "-m", "repro.server", flag, "7199"],
@@ -132,7 +131,7 @@ class TestServerCli:
 
     def test_entry_point_loads_only_the_server(self):
         """What ``python -m repro.server`` imports before it can listen:
-        no thread pool, and nothing of the client half."""
+        nothing of the client half, the agent or the simulators."""
         code = (
             "import sys, repro.server.__main__\n"
             f"for name in {SERVER_MUST_NOT_LOAD!r}:\n"

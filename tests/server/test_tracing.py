@@ -193,8 +193,8 @@ class TestLoopProbes:
         assert snap["counters"]["loop.iterations"] > 0
         assert snap["counters"]["net.accepts"] == 1
         gauges = snap["gauges"]
-        for name in ("net.connections", "net.output_backlog_bytes",
-                     "bufpool.allocated", "db.size"):
+        for name in ("net.connections", "workers.queue_depth",
+                     "workers.queue_time", "bufpool.allocated", "db.size"):
             assert name in gauges
         # FD budget gauges come from /proc + RLIMIT_NOFILE; both must be
         # live values, not placeholders.
